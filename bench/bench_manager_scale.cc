@@ -4,11 +4,10 @@
 // Two things are measured:
 //   1. metadata ops/s vs shard count (informational on a small CI box —
 //      contention relief needs cores, same caveat as hash_workers_peak);
-//   2. the decentralized-placement RPC counters, which are DETERMINISTIC
-//      for this fixed workload and asserted here: in steady state the
-//      manager performs zero placement work (fetches == one per client
-//      cache, mismatches == 0, server-side placements == 0), and a
-//      membership change costs exactly one refetch per client.
+//   2. the placement RPC count, which is DETERMINISTIC for this fixed
+//      workload and asserted here: the manager picks exactly one stripe per
+//      write, and a desktop joining the grid costs no extra RPC — the next
+//      stripes include it because it has the most free space.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "client/placement.h"
 #include "manager/metadata_manager.h"
 
 using namespace stdchk;
@@ -27,7 +25,7 @@ namespace {
 constexpr int kThreads = 8;       // fixed: counters stay machine-independent
 constexpr int kBenefactors = 32;
 constexpr int kSteadyWrites = 48;  // per thread
-constexpr int kChurnWrites = 4;    // per thread, after the membership change
+constexpr int kChurnWrites = 4;    // per thread, after a desktop joins
 constexpr int kStripeWidth = 2;
 
 void Require(bool ok, const std::string& what) {
@@ -43,39 +41,18 @@ ChunkId BenchChunkId(int thread_idx, int i, int c) {
   return ChunkId::For(AsBytes(s));
 }
 
-// One client's slice of the workload: decentralized writes (cached table,
-// local stripe computation, epoch-validated reserve/commit) mixed with
-// reads, deletes and orphan-only GC exchanges. `first_timestep` lets the
-// churn phase continue where the steady phase stopped.
-void RunClient(MetadataManager* manager, PlacementTableCache* cache,
-               NodeId reporter, int thread_idx, int first_timestep,
-               int writes) {
+// One client's slice of the workload: manager-placed writes (reserve a
+// stripe, commit onto it) mixed with reads, deletes and orphan-only GC
+// exchanges. `first_timestep` lets the churn phase continue where the
+// steady phase stopped.
+void RunClient(MetadataManager* manager, NodeId reporter, int thread_idx,
+               int first_timestep, int writes) {
   std::string app = "scale-t" + std::to_string(thread_idx);
   for (int i = first_timestep; i < first_timestep + writes; ++i) {
-    auto table = cache->Get();
-    Require(table.ok(), "placement table fetch");
-    CheckpointName name{app, "n", static_cast<std::uint64_t>(i)};
-    auto stripe =
-        ComputeStripe(table.value(), kStripeWidth, PlacementSeed(name));
-    Require(stripe.ok(), "local stripe computation");
-    auto reservation = manager->ReserveStripeAt(table.value().epoch,
-                                                stripe.value(), 2048);
-    std::uint64_t placed_epoch = table.value().epoch;
-    if (!reservation.ok()) {
-      // Stale epoch: refetch once and retry — the protocol's only
-      // recovery path, and the only manager placement traffic that can
-      // ever exist in this workload.
-      cache->Invalidate();
-      table = cache->Get();
-      Require(table.ok(), "placement table refetch");
-      stripe = ComputeStripe(table.value(), kStripeWidth, PlacementSeed(name));
-      Require(stripe.ok(), "stripe recomputation");
-      reservation = manager->ReserveStripeAt(table.value().epoch,
-                                             stripe.value(), 2048);
-      placed_epoch = table.value().epoch;
-      Require(reservation.ok(), "reserve after refetch");
-    }
+    auto reservation = manager->ReserveStripe(kStripeWidth, 2048);
+    Require(reservation.ok(), "stripe reservation");
 
+    CheckpointName name{app, "n", static_cast<std::uint64_t>(i)};
     VersionRecord record;
     record.name = name;
     for (int c = 0; c < 2; ++c) {
@@ -83,14 +60,12 @@ void RunClient(MetadataManager* manager, PlacementTableCache* cache,
       loc.id = BenchChunkId(thread_idx, i, c);
       loc.file_offset = static_cast<std::uint64_t>(c) * 1024;
       loc.size = 1024;
-      loc.replicas = stripe.value();
+      loc.replicas = reservation.value().stripe;
       record.chunk_map.chunks.push_back(loc);
     }
     record.size = 2048;
-    Require(manager
-                ->CommitVersionAt(reservation.value().id, record, placed_epoch)
-                .ok(),
-            "epoch-validated commit");
+    Require(manager->CommitVersion(reservation.value().id, record).ok(),
+            "commit");
 
     if (i % 3 == 0) {
       Require(manager->GetVersion(name).ok(), "read-back");
@@ -134,19 +109,12 @@ ShardRun RunAtShardCount(int shards) {
     nodes.push_back(manager.RegisterBenefactor(info).value());
   }
 
-  // One placement-table cache per client, as in the real proxy.
-  std::vector<std::unique_ptr<PlacementTableCache>> caches;
-  for (int t = 0; t < kThreads; ++t) {
-    caches.push_back(std::make_unique<PlacementTableCache>(&manager));
-  }
-
   ShardRun run;
   auto start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back(RunClient, &manager, caches[t].get(), nodes[t], t,
-                           1, kSteadyWrites);
+      threads.emplace_back(RunClient, &manager, nodes[t], t, 1, kSteadyWrites);
     }
     for (std::thread& thread : threads) thread.join();
   }
@@ -154,43 +122,36 @@ ShardRun RunAtShardCount(int shards) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   run.steady = manager.Counters();
+  Require(run.steady.server_side_placements == kThreads * kSteadyWrites,
+          "steady: one manager placement per write");
 
-  // Steady-state invariants: zero manager placement work beyond the one
-  // warm-up fetch per client cache.
-  Require(run.steady.placement_table_fetches == kThreads,
-          "steady: one table fetch per client");
-  Require(run.steady.placement_epoch_mismatches == 0,
-          "steady: no epoch mismatches");
-  Require(run.steady.server_side_placements == 0,
-          "steady: zero server-side placements");
-
-  // Membership churn: a desktop joins, every cached table goes stale, and
-  // each client pays exactly one FailedPrecondition + refetch.
+  // A desktop joins the grid with more free space than any member: no
+  // client refreshes anything, and the next stripes pick it up.
   BenefactorInfo joiner;
   joiner.host = "grid-joiner";
-  joiner.total_bytes = 64_GiB;
-  joiner.free_bytes = 64_GiB;
-  (void)manager.RegisterBenefactor(joiner).value();
+  joiner.total_bytes = 128_GiB;
+  joiner.free_bytes = 128_GiB;
+  NodeId joined = manager.RegisterBenefactor(joiner).value();
   {
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back(RunClient, &manager, caches[t].get(), nodes[t], t,
+      threads.emplace_back(RunClient, &manager, nodes[t], t,
                            kSteadyWrites + 1, kChurnWrites);
     }
     for (std::thread& thread : threads) thread.join();
   }
   run.churn = manager.Counters();
-  Require(run.churn.placement_epoch_mismatches == kThreads,
-          "churn: exactly one mismatch per client");
-  Require(run.churn.placement_table_fetches ==
-              run.churn.placement_epoch_mismatches + kThreads,
-          "fetches == warm-up fetches + mismatch refetches");
-  Require(run.churn.server_side_placements == 0,
-          "churn: still zero server-side placements");
+  Require(run.churn.server_side_placements ==
+              kThreads * (kSteadyWrites + kChurnWrites),
+          "churn: still one manager placement per write");
+  auto joined_status = manager.registry().Get(joined);
+  Require(joined_status.ok() &&
+              joined_status.value().info.free_bytes < joiner.free_bytes,
+          "churn: the joined desktop received data");
 
   // Metadata RPCs issued during the steady phase (per-thread arithmetic,
   // not a measurement — the mix is fixed).
-  std::uint64_t per_thread = 1;  // table fetch
+  std::uint64_t per_thread = 0;
   for (int i = 1; i <= kSteadyWrites; ++i) {
     per_thread += 2;                    // reserve + commit
     if (i % 3 == 0) per_thread += 2;    // read-back + chunk filter
@@ -204,12 +165,12 @@ ShardRun RunAtShardCount(int shards) {
 }  // namespace
 
 int main() {
-  bench::PrintHeader("Scale", "Sharded metadata manager + epoch placement");
+  bench::PrintHeader("Scale", "Sharded metadata manager + manager placement");
   bench::PrintRow("%d clients x %d writes, %d benefactors, stripe width %d",
                   kThreads, kSteadyWrites, kBenefactors, kStripeWidth);
   bench::PrintRow("");
-  bench::PrintRow("%-8s %12s %10s %10s %10s %12s", "shards", "meta-ops/s",
-                  "fetches", "mismatch", "srv-place", "contended");
+  bench::PrintRow("%-8s %12s %12s %12s", "shards", "meta-ops/s", "placements",
+                  "contended");
 
   for (int shards : {1, 4, 16}) {
     ShardRun run = RunAtShardCount(shards);
@@ -221,49 +182,40 @@ int main() {
     for (const CatalogShardStats& shard : run.churn.catalog_shards) {
       contended += shard.lock_contended;
     }
-    bench::PrintRow("%-8d %12.0f %10llu %10llu %10llu %12llu", shards,
-                    ops_per_sec,
-                    static_cast<unsigned long long>(
-                        run.steady.placement_table_fetches),
-                    static_cast<unsigned long long>(
-                        run.steady.placement_epoch_mismatches),
+    bench::PrintRow("%-8d %12.0f %12llu %12llu", shards, ops_per_sec,
                     static_cast<unsigned long long>(
                         run.steady.server_side_placements),
                     static_cast<unsigned long long>(contended));
 
     std::uint64_t writes =
         static_cast<std::uint64_t>(kThreads) * kSteadyWrites;
-    // Steady-state row: the *_rpc counters are deterministic for this
+    // Steady-state row: the placement counters are deterministic for this
     // fixed workload and exact-gated by scripts/bench_compare.py.
     bench::JsonLine("bench_manager_scale")
         .Int("shards", static_cast<std::uint64_t>(shards))
         .Int("threads", kThreads)
         .Int("writes", writes)
-        .Int("placement_rpcs", run.steady.placement_table_fetches)
-        .Int("epoch_mismatches", run.steady.placement_epoch_mismatches)
-        .Int("server_placements", run.steady.server_side_placements)
+        .Int("placement_rpcs", run.steady.server_side_placements)
         .Num("placement_rpcs_per_write",
-             static_cast<double>(run.steady.placement_table_fetches) /
+             static_cast<double>(run.steady.server_side_placements) /
                  static_cast<double>(writes))
         .Num("meta_ops_per_sec", ops_per_sec)
         .Num("lock_contended", static_cast<double>(contended))
         .Emit();
-    // Churn row: one membership change against warm caches.
+    // Churn row: cumulative placements after a desktop joined.
     bench::JsonLine("bench_manager_scale")
         .Str("phase", "churn")
         .Int("shards", static_cast<std::uint64_t>(shards))
         .Int("threads", kThreads)
-        .Int("placement_rpcs", run.churn.placement_table_fetches)
-        .Int("epoch_mismatches", run.churn.placement_epoch_mismatches)
-        .Int("server_placements", run.churn.server_side_placements)
+        .Int("placement_rpcs", run.churn.server_side_placements)
         .Emit();
   }
 
   bench::PrintRow("");
   bench::PrintNote(
       "meta-ops/s needs real cores to show shard scaling (single-core CI "
-      "serializes the threads); the RPC counters are the load-bearing "
-      "result — steady-state writes cost the manager zero placement "
-      "RPCs, and churn costs exactly one refetch per client.");
+      "serializes the threads); the placement counter is the load-bearing "
+      "result — exactly one manager stripe pick per write, and a joining "
+      "desktop costs no extra RPC.");
   return 0;
 }

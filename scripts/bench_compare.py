@@ -14,7 +14,7 @@ prints a report and exits 1 if any were found (0 otherwise). Added/removed
 rows and metrics are reported but never fail the gate — benches evolve.
 
 A second class of metrics is DETERMINISTIC: counts and invariants (payload
-copies, syscalls, fsyncs, mmap reads, placement RPCs, epoch mismatches,
+copies, syscalls, fsyncs, mmap reads, placement RPCs,
 erasure shard puts/reconstructions/GC releases)
 that depend only on the workload, not the hardware. These are compared
 exactly — any drift is a regression, because a copy or RPC appearing on a
@@ -50,8 +50,7 @@ INFORMATIONAL = ("hash_workers_peak", "lock_contended")
 # so any change is a real behavior change. Compared exactly, blocking.
 DETERMINISTIC = ("_payload_copies", "_copy_bytes", "materializations",
                  "materialized_bytes", "identical", "zero_copy", "syscalls",
-                 "mmap_reads", "fsyncs", "placement_rpcs", "epoch_mismatch",
-                 "server_placements", "per_write",
+                 "mmap_reads", "fsyncs", "placement_rpcs", "per_write",
                  # Erasure path: shard puts, parity reconstructions and
                  # shard-group GC releases are workload-determined counts.
                  "parity_shards", "data_shards", "reconstruction",

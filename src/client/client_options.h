@@ -76,14 +76,6 @@ struct ClientOptions {
   // bit (the shared HashPool is never touched).
   int hash_workers = 0;
 
-  // Decentralized placement (epoch-versioned table): the proxy caches the
-  // manager's placement table and each write computes its stripe locally,
-  // reserving at the cached epoch; the manager is consulted only when the
-  // epoch goes stale. Off by default: the legacy path asks the manager to
-  // pick every stripe (server-side SelectStripe), preserving its exact
-  // free-space-aware placement byte for byte.
-  bool decentralized_placement = false;
-
   // Replicas required at close() for pessimistic writes; also recorded as
   // the version's replication target (0 = inherit the folder policy).
   int replication_target = 0;

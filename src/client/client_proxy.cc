@@ -13,9 +13,7 @@ Result<std::unique_ptr<WriteSession>> ClientProxy::CreateFileWith(
     return AlreadyExistsError("checkpoint image " + name.ToString() +
                               " already exists");
   }
-  return std::make_unique<WriteSession>(
-      manager_, transport_, name, options,
-      options.decentralized_placement ? &table_cache_ : nullptr);
+  return std::make_unique<WriteSession>(manager_, transport_, name, options);
 }
 
 Result<CloseOutcome> ClientProxy::WriteFile(const CheckpointName& name,

@@ -20,10 +20,7 @@ class ClientProxy {
  public:
   ClientProxy(MetadataManager* manager, Transport* transport,
               ClientOptions options = {})
-      : manager_(manager),
-        transport_(transport),
-        options_(options),
-        table_cache_(manager) {}
+      : manager_(manager), transport_(transport), options_(options) {}
 
   const ClientOptions& options() const { return options_; }
   void set_options(const ClientOptions& options) { options_ = options; }
@@ -63,15 +60,10 @@ class ClientProxy {
 
   MetadataManager* manager() { return manager_; }
 
-  // The proxy-wide placement-table cache (one table shared by all of this
-  // desktop's write sessions when decentralized placement is on).
-  PlacementTableCache& table_cache() { return table_cache_; }
-
  private:
   MetadataManager* manager_;
   Transport* transport_;
   ClientOptions options_;
-  PlacementTableCache table_cache_;
 };
 
 }  // namespace stdchk

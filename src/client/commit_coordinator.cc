@@ -9,63 +9,17 @@ CommitCoordinator::CommitCoordinator(MetadataManager* manager,
                                      Transport* transport,
                                      CheckpointName name,
                                      const ClientOptions& options,
-                                     WriteStats* stats,
-                                     PlacementTableCache* table_cache)
+                                     WriteStats* stats)
     : manager_(manager),
       transport_(transport),
       name_(std::move(name)),
       options_(options),
-      stats_(stats),
-      table_cache_(table_cache) {}
-
-Status CommitCoordinator::ReserveDecentralized(std::uint64_t bytes) {
-  // publish → cache → compute → reserve-at-epoch. A stale-epoch rejection
-  // invalidates the cache and retries with a fresh table; membership can
-  // keep churning under us, so bound the retries.
-  Status last = InternalError("placement retry loop did not run");
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    bool fetched = false;
-    auto table = table_cache_->Get(&fetched);
-    if (!table.ok()) return table.status();
-    if (fetched) ++stats_->placement_table_fetches;
-
-    auto stripe =
-        ComputeStripe(table.value(), options_.stripe_width,
-                      PlacementSeed(name_));
-    if (!stripe.ok()) {
-      // Not enough members in the cached table; a node may have joined
-      // since — refetch once rather than failing a placeable write.
-      table_cache_->Invalidate();
-      last = stripe.status();
-      continue;
-    }
-
-    auto reserved =
-        manager_->ReserveStripeAt(table.value().epoch, stripe.value(), bytes);
-    if (reserved.ok()) {
-      reservation_ = std::move(reserved.value());
-      have_reservation_ = true;
-      reserved_remaining_ = reservation_.reserved_bytes;
-      placed_epoch_ = table.value().epoch;
-      ++stats_->local_placements;
-      return OkStatus();
-    }
-    if (reserved.status().code() == StatusCode::kFailedPrecondition) {
-      ++stats_->placement_epoch_mismatches;
-      table_cache_->Invalidate();
-      last = reserved.status();
-      continue;
-    }
-    return reserved.status();
-  }
-  return last;
-}
+      stats_(stats) {}
 
 Status CommitCoordinator::EnsureReservation(std::uint64_t upcoming) {
   if (!have_reservation_) {
     std::uint64_t bytes =
         std::max<std::uint64_t>(upcoming, options_.reservation_extent);
-    if (table_cache_ != nullptr) return ReserveDecentralized(bytes);
     STDCHK_ASSIGN_OR_RETURN(reservation_,
                             manager_->ReserveStripe(options_.stripe_width,
                                                     bytes));
@@ -163,12 +117,8 @@ Result<CloseOutcome> CommitCoordinator::Commit() {
   record.size = file_offset_;
   record.replication_target = options_.replication_target;
 
-  // placed_epoch_ 0 (legacy path, or nothing was placed) skips the
-  // manager's epoch validation; otherwise a membership change since
-  // placement is caught here — the last line of defense against
-  // committing onto a departed benefactor.
-  Status commit = manager_->CommitVersionAt(
-      have_reservation_ ? reservation_.id : 0, record, placed_epoch_);
+  Status commit = manager_->CommitVersion(
+      have_reservation_ ? reservation_.id : 0, record);
   if (commit.ok()) {
     have_reservation_ = false;  // commit released it
     return CloseOutcome::kCommitted;

@@ -13,7 +13,6 @@
 
 #include "client/transport.h"
 #include "client/client_options.h"
-#include "client/placement.h"
 #include "client/write_stats.h"
 #include "common/status.h"
 #include "manager/metadata_manager.h"
@@ -29,17 +28,13 @@ enum class CloseOutcome {
 
 class CommitCoordinator {
  public:
-  // `table_cache` enables decentralized placement: the first reservation
-  // computes its stripe from the cached table (ComputeStripe) and reserves
-  // at the table's epoch, refetching only on a stale-epoch rejection.
-  // nullptr keeps the legacy server-side SelectStripe path.
   CommitCoordinator(MetadataManager* manager, Transport* transport,
                     CheckpointName name, const ClientOptions& options,
-                    WriteStats* stats,
-                    PlacementTableCache* table_cache = nullptr);
+                    WriteStats* stats);
 
   // ---- Reservation lifecycle (batch-aware) ---------------------------------
   // Ensures a stripe reservation exists and covers `upcoming` more bytes.
+  // The first call asks the manager to pick the stripe (ReserveStripe).
   // The uploader calls this once per flush batch, not per chunk, so
   // extension RPCs amortize over the batch.
   Status EnsureReservation(std::uint64_t upcoming);
@@ -87,24 +82,16 @@ class CommitCoordinator {
 
  private:
   Status StashOnStripe(const VersionRecord& record);
-  // First reservation via the cached placement table (mismatch-refetch
-  // loop); only used when table_cache_ is set.
-  Status ReserveDecentralized(std::uint64_t bytes);
 
   MetadataManager* manager_;
   Transport* transport_;
   CheckpointName name_;
   const ClientOptions& options_;
   WriteStats* stats_;
-  PlacementTableCache* table_cache_;
 
   WriteReservation reservation_;
   bool have_reservation_ = false;
   std::uint64_t reserved_remaining_ = 0;
-  // Table epoch the stripe was placed against; 0 until a decentralized
-  // reservation exists (commit then skips epoch validation — legacy path
-  // or an all-dedup/empty write that placed nothing).
-  std::uint64_t placed_epoch_ = 0;
 
   ChunkMap map_;
   std::vector<bool> slot_reused_;

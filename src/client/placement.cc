@@ -1,9 +1,5 @@
 #include "client/placement.h"
 
-#include <algorithm>
-
-#include "common/rolling_hash.h"  // Mix64
-
 namespace stdchk {
 
 std::vector<NodeId> RoundRobinPlacement::PlanChunk(
@@ -20,81 +16,6 @@ std::vector<NodeId> RoundRobinPlacement::PlanChunk(
 
 void RoundRobinPlacement::OnChunkPlaced(const std::vector<NodeId>& stripe) {
   cursor_.Advance(stripe.size());
-}
-
-Result<PlacementTable> PlacementTableCache::Get(bool* fetched) {
-  if (fetched != nullptr) *fetched = false;
-  {
-    // Steady-state fast path: shared hold, no writer exclusion between
-    // concurrent write sessions reading the same cached table.
-    ReaderLock lock(mu_);
-    if (valid_) return table_;
-  }
-  WriterLock lock(mu_);
-  // Re-check: another session may have completed the fetch while we waited
-  // for the writer lock.
-  if (!valid_) {
-    STDCHK_ASSIGN_OR_RETURN(table_, manager_->GetPlacementTable());
-    valid_ = true;
-    fetches_.fetch_add(1, std::memory_order_relaxed);
-    if (fetched != nullptr) *fetched = true;
-  }
-  return table_;
-}
-
-void PlacementTableCache::Invalidate() {
-  WriterLock lock(mu_);
-  valid_ = false;
-}
-
-Result<std::vector<NodeId>> ComputeStripe(const PlacementTable& table,
-                                          int width, std::uint64_t seed) {
-  if (width <= 0) return InvalidArgumentError("stripe width must be > 0");
-  if (static_cast<int>(table.members.size()) < width) {
-    return UnavailableError(
-        "placement table has fewer members than stripe width " +
-        std::to_string(width));
-  }
-
-  struct Candidate {
-    NodeId id;
-    bool has_free;
-    std::uint64_t score;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(table.members.size());
-  for (const PlacementMember& m : table.members) {
-    candidates.push_back(Candidate{
-        m.id, m.free_bytes > 0,
-        Mix64(static_cast<std::uint64_t>(m.id) * 0x9E3779B97F4A7C15ull ^
-              seed)});
-  }
-  // Rendezvous order: members with free space first, then by hashed score
-  // so each seed walks the pool in its own order. Node id breaks the
-  // (vanishingly unlikely) score tie so the result is a total order.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.has_free != b.has_free) return a.has_free;
-              if (a.score != b.score) return a.score > b.score;
-              return a.id < b.id;
-            });
-
-  std::vector<NodeId> stripe;
-  stripe.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) {
-    stripe.push_back(candidates[static_cast<std::size_t>(i)].id);
-  }
-  return stripe;
-}
-
-std::uint64_t PlacementSeed(const CheckpointName& name) {
-  const std::string full = name.ToString();
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (char c : full) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return Mix64(h);
 }
 
 }  // namespace stdchk

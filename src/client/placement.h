@@ -1,28 +1,19 @@
-// Layer 2 of the staged write engine: replica placement.
+// Layer 2 of the staged write engine: replica placement within a stripe.
 //
-// Extracted from WriteSession's inline round-robin so the selection
-// discipline is pluggable (locality- or load-aware policies slot in behind
-// the same interface) and shared — the perf write-pipeline models stripe
-// with the same RoundRobinCursor (common/striping.h).
-//
-// This header also hosts the client half of the decentralized-placement
-// protocol: a cached, epoch-versioned placement table and the pure stripe
-// computation over it. The flow is publish → cache → compute locally →
-// reserve at the placed epoch → refetch only on a stale-epoch rejection.
+// The metadata manager picks every write stripe (ReserveStripe, backed by
+// the registry's free-space-aware SelectStripe); this layer only orders
+// each chunk's replica targets inside that stripe. Extracted from
+// WriteSession's inline round-robin so the selection discipline is
+// pluggable (locality- or load-aware policies slot in behind the same
+// interface) and shared — the perf write-pipeline models stripe with the
+// same RoundRobinCursor (common/striping.h).
 #pragma once
 
-#include <atomic>
-#include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "chunk/chunk.h"
-#include "common/annotated_mutex.h"
-#include "common/status.h"
 #include "common/striping.h"
-#include "manager/metadata_manager.h"
-#include "manager/types.h"
 
 namespace stdchk {
 
@@ -55,54 +46,5 @@ class RoundRobinPlacement final : public PlacementPolicy {
  private:
   RoundRobinCursor cursor_;
 };
-
-// ---- Epoch-versioned decentralized placement -------------------------------
-
-// Client-side cache of the manager's placement table, shared by every write
-// session of one ClientProxy. Thread-safe. In steady state (no membership
-// churn) the table is fetched once and every subsequent write computes its
-// stripe locally — zero manager placement RPCs per write.
-class PlacementTableCache {
- public:
-  explicit PlacementTableCache(MetadataManager* manager)
-      : manager_(manager) {}
-
-  // Returns the cached table, fetching from the manager only when the
-  // cache is cold or was invalidated. `fetched` (optional) reports whether
-  // this call performed the RPC. Steady state takes only the reader lock:
-  // every write session of the proxy hits this per write, and a shared
-  // hold keeps the hot path contention-free.
-  Result<PlacementTable> Get(bool* fetched = nullptr) EXCLUDES(mu_);
-
-  // Drops the cached table (after a stale-epoch rejection); the next Get()
-  // refetches.
-  void Invalidate() EXCLUDES(mu_);
-
-  // Total manager fetches performed through this cache.
-  std::uint64_t fetch_count() const {
-    return fetches_.load(std::memory_order_relaxed);
-  }
-
- private:
-  MetadataManager* manager_;
-  // Rank sits below the manager's: Get() holds the writer lock across the
-  // table-fetch RPC so concurrent cold readers coalesce into one fetch.
-  SharedMutex mu_{LockRank::kClientPlacement, 0, "placement_cache"};
-  bool valid_ GUARDED_BY(mu_) = false;
-  PlacementTable table_ GUARDED_BY(mu_);
-  std::atomic<std::uint64_t> fetches_{0};
-};
-
-// Deterministic client-side stripe selection: rendezvous hashing of the
-// table's members against `seed`, preferring members with free space. A
-// pure function of (table, width, seed) — every client with the same table
-// computes the same stripe for the same file, with different files spread
-// across the pool by their seeds. Fails Unavailable when the table has
-// fewer than `width` members.
-Result<std::vector<NodeId>> ComputeStripe(const PlacementTable& table,
-                                          int width, std::uint64_t seed);
-
-// Stable per-file seed for ComputeStripe.
-std::uint64_t PlacementSeed(const CheckpointName& name);
 
 }  // namespace stdchk

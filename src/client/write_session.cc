@@ -34,14 +34,12 @@ ClientOptions ResolveOptions(MetadataManager* manager,
 }  // namespace
 
 WriteSession::WriteSession(MetadataManager* manager, Transport* transport,
-                           CheckpointName name, ClientOptions options,
-                           PlacementTableCache* table_cache)
+                           CheckpointName name, ClientOptions options)
     : options_(ResolveOptions(manager, name, std::move(options))),
       planner_(options_.chunker, options_.hash_workers, &stats_,
                options_.stamp_chunk_digests),
       placement_(std::make_unique<RoundRobinPlacement>()),
-      coordinator_(manager, transport, std::move(name), options_, &stats_,
-                   table_cache),
+      coordinator_(manager, transport, std::move(name), options_, &stats_),
       uploader_(transport, placement_.get(), &coordinator_, options_, &stats_) {}
 
 WriteSession::~WriteSession() {

@@ -34,11 +34,8 @@ namespace stdchk {
 
 class WriteSession {
  public:
-  // `table_cache` (usually the owning ClientProxy's) enables decentralized
-  // placement for this session; nullptr keeps server-side placement.
   WriteSession(MetadataManager* manager, Transport* transport,
-               CheckpointName name, ClientOptions options,
-               PlacementTableCache* table_cache = nullptr);
+               CheckpointName name, ClientOptions options);
   ~WriteSession();
 
   WriteSession(const WriteSession&) = delete;

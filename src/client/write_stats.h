@@ -22,12 +22,6 @@ struct WriteStats {
   std::uint64_t max_buffered_bytes = 0;   // high-water client buffering
   std::uint64_t inflight_put_peak = 0;  // concurrent batch PUTs in flight
 
-  // Decentralized placement (epoch-versioned table):
-  std::uint64_t placement_table_fetches = 0;  // manager table RPCs (cold
-                                              // cache or stale epoch only)
-  std::uint64_t placement_epoch_mismatches = 0;  // stale-epoch rejections
-  std::uint64_t local_placements = 0;  // stripes computed client-side
-
   // Erasure-coded write path (ClientOptions::erasure):
   std::uint64_t parity_shards_written = 0;  // parity shard puts that landed
   std::uint64_t data_shards_written = 0;    // data shard puts that landed

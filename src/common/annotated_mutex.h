@@ -25,8 +25,8 @@
 //    can nest with its rank-mate);
 //  * annotate every member a mutex guards with GUARDED_BY(mu_) and every
 //    private held-lock helper with REQUIRES(mu_);
-//  * lock through MutexLock / ReaderLock / WriterLock so Clang sees the
-//    acquisition; raw lock()/unlock() only for lock-array patterns, under
+//  * lock through MutexLock so Clang sees the acquisition; raw
+//    lock()/unlock() only for lock-array patterns, under
 //    a NO_THREAD_SAFETY_ANALYSIS function with a comment saying why.
 #pragma once
 
@@ -34,7 +34,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 // Default the runtime validator ON; the build system passes
 // -DSTDCHK_LOCK_RANK_CHECKS=0 to compile it out (Release benches).
@@ -123,7 +122,6 @@ namespace stdchk {
 //   rank  lock                         may be held while taking...
 //   ----  ---------------------------  -----------------------------------
 //    10   BackgroundDriver::mu_        (nothing — released around Tick())
-//    20   PlacementTableCache::mu_     manager mu_ (table fetch RPC)
 //    30   ReadSession::mu_             transport mu_ (pump/harvest RPCs)
 //    40   MetadataManager::mu_         registry mu_, catalog shard locks
 //    50   BenefactorRegistry::mu_      (leaf of the metadata plane)
@@ -141,7 +139,6 @@ namespace stdchk {
 enum class LockRank : std::uint32_t {
   kUnranked = 0,
   kBackgroundDriver = 10,
-  kClientPlacement = 20,
   kClientReadSession = 30,
   kManager = 40,
   kRegistry = 50,
@@ -209,42 +206,6 @@ class CAPABILITY("mutex") Mutex {
   const char* name_ = "mutex";
 };
 
-// std::shared_mutex wrapper. Shared acquisitions obey the same rank order
-// as exclusive ones (a reader can deadlock a writer just the same).
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  explicit SharedMutex(LockRank rank, std::uint32_t seq = 0,
-                       const char* name = "shared_mutex")
-      : rank_(static_cast<std::uint32_t>(rank)), seq_(seq), name_(name) {}
-
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() ACQUIRE() {
-    if (rank_ != 0) lockrank::OnAcquire(this, rank_, seq_, name_);
-    mu_.lock();
-  }
-  void unlock() RELEASE() {
-    mu_.unlock();
-    if (rank_ != 0) lockrank::OnRelease(this);
-  }
-  void lock_shared() ACQUIRE_SHARED() {
-    if (rank_ != 0) lockrank::OnAcquire(this, rank_, seq_, name_);
-    mu_.lock_shared();
-  }
-  void unlock_shared() RELEASE_SHARED() {
-    mu_.unlock_shared();
-    if (rank_ != 0) lockrank::OnRelease(this);
-  }
-
- private:
-  std::shared_mutex mu_;
-  std::uint32_t rank_ = 0;
-  std::uint32_t seq_ = 0;
-  const char* name_ = "shared_mutex";
-};
-
 // ---- RAII guards -----------------------------------------------------------
 
 class SCOPED_CAPABILITY MutexLock {
@@ -257,34 +218,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Exclusive hold of a SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.lock(); }
-  ~WriterLock() RELEASE() { mu_.unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// Shared hold of a SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderLock() RELEASE() { mu_.unlock_shared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // ---- Condition variable over the annotated Mutex ---------------------------

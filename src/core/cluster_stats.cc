@@ -39,9 +39,6 @@ ClusterStats CollectStats(StdchkCluster& cluster) {
   stats.network_bytes = cluster.transport().bytes_moved();
 
   ManagerCounters counters = cluster.manager().Counters();
-  stats.placement_epoch = counters.placement_epoch;
-  stats.placement_table_fetches = counters.placement_table_fetches;
-  stats.placement_epoch_mismatches = counters.placement_epoch_mismatches;
   stats.server_side_placements = counters.server_side_placements;
   stats.catalog_shard_stats = std::move(counters.catalog_shards);
   stats.catalog_shards = stats.catalog_shard_stats.size();

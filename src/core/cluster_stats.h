@@ -47,18 +47,17 @@ struct ClusterStats {
   std::uint64_t generations_released = 0;
   std::uint64_t compacted_bytes_rewritten = 0;
 
-  // Metadata plane: sharded catalog + decentralized placement. The shard
-  // vector has one entry per catalog shard; the scalar catalog_* fields
-  // are sums across shards. In steady state server_side_placements and
-  // placement_epoch_mismatches stay flat while writes proceed — the
-  // decentralized-placement invariant.
+  // Metadata plane: sharded catalog + manager placement. The shard vector
+  // has one entry per catalog shard; the scalar catalog_* fields are sums
+  // across shards. server_side_placements counts the stripes the manager
+  // picked (ManagerCounters). placement_table_fetches is always 0 — clients
+  // hold no placement table — and stays only for readers that still add
+  // the two into one placement-RPC figure.
   std::size_t catalog_shards = 0;
   std::uint64_t catalog_ops = 0;
   std::uint64_t catalog_lock_acquisitions = 0;
   std::uint64_t catalog_lock_contended = 0;
-  std::uint64_t placement_epoch = 0;
   std::uint64_t placement_table_fetches = 0;
-  std::uint64_t placement_epoch_mismatches = 0;
   std::uint64_t server_side_placements = 0;
   std::vector<CatalogShardStats> catalog_shard_stats;
 

@@ -15,7 +15,6 @@ NodeId BenefactorRegistry::Register(const BenefactorInfo& info) {
   status.last_heartbeat = clock_->NowUs();
   status.online = true;
   nodes_[id] = status;
-  ++epoch_;  // membership changed: new table epoch, same mutation
   return id;
 }
 
@@ -26,7 +25,6 @@ Status BenefactorRegistry::Heartbeat(NodeId node, std::uint64_t free_bytes) {
     return NotFoundError("heartbeat from unregistered node");
   }
   it->second.last_heartbeat = clock_->NowUs();
-  if (!it->second.online) ++epoch_;  // revival of an expired node
   it->second.online = true;
   it->second.info.free_bytes = free_bytes;
   return OkStatus();
@@ -36,7 +34,6 @@ Status BenefactorRegistry::SetOffline(NodeId node) {
   MutexLock lock(mu_);
   auto it = nodes_.find(node);
   if (it == nodes_.end()) return NotFoundError("unknown node");
-  if (it->second.online) ++epoch_;
   it->second.online = false;
   return OkStatus();
 }
@@ -51,30 +48,24 @@ std::vector<NodeId> BenefactorRegistry::ExpireStale() {
       expired.push_back(id);
     }
   }
-  if (!expired.empty()) ++epoch_;
   return expired;
-}
-
-PlacementTable BenefactorRegistry::PlacementSnapshot() const {
-  MutexLock lock(mu_);
-  PlacementTable table;
-  table.epoch = epoch_;
-  for (const auto& [id, status] : nodes_) {
-    if (!status.online) continue;
-    PlacementMember member;
-    member.id = id;
-    member.free_bytes = status.info.free_bytes > status.reserved_bytes
-                            ? status.info.free_bytes - status.reserved_bytes
-                            : 0;
-    table.members.push_back(member);
-  }
-  return table;
 }
 
 bool BenefactorRegistry::IsOnline(NodeId node) const {
   MutexLock lock(mu_);
   auto it = nodes_.find(node);
   return it != nodes_.end() && it->second.online;
+}
+
+std::vector<NodeId> BenefactorRegistry::OfflineAmong(
+    const std::vector<NodeId>& nodes) const {
+  MutexLock lock(mu_);
+  std::vector<NodeId> out;
+  for (NodeId node : nodes) {
+    auto it = nodes_.find(node);
+    if (it == nodes_.end() || !it->second.online) out.push_back(node);
+  }
+  return out;
 }
 
 Result<BenefactorStatus> BenefactorRegistry::Get(NodeId node) const {
@@ -104,14 +95,33 @@ std::size_t BenefactorRegistry::online_count() const {
 
 Result<std::vector<NodeId>> BenefactorRegistry::SelectStripe(
     int width, const std::vector<NodeId>& exclude) const {
-  if (width <= 0) return InvalidArgumentError("stripe width must be > 0");
   MutexLock lock(mu_);
+  return SelectStripeLocked(width, exclude);
+}
 
+Result<std::vector<NodeId>> BenefactorRegistry::SelectAndReserve(
+    int width, std::uint64_t bytes_per_member) {
+  MutexLock lock(mu_);
+  STDCHK_ASSIGN_OR_RETURN(std::vector<NodeId> stripe,
+                          SelectStripeLocked(width, {}));
+  for (NodeId node : stripe) nodes_.at(node).reserved_bytes += bytes_per_member;
+  return stripe;
+}
+
+Result<std::vector<NodeId>> BenefactorRegistry::SelectStripeLocked(
+    int width, const std::vector<NodeId>& exclude) const {
+  if (width <= 0) return InvalidArgumentError("stripe width must be > 0");
+
+  // Most free space first; a per-call hashed tie-break spreads equally-free
+  // donors across successive stripes.
   struct Candidate {
     NodeId id;
     std::uint64_t effective_free;
+    std::uint64_t tie_break;
   };
+  std::uint64_t cursor = rr_cursor_++;
   std::vector<Candidate> candidates;
+  candidates.reserve(nodes_.size());
   for (const auto& [id, status] : nodes_) {
     if (!status.online) continue;
     if (std::find(exclude.begin(), exclude.end(), id) != exclude.end()) {
@@ -120,28 +130,27 @@ Result<std::vector<NodeId>> BenefactorRegistry::SelectStripe(
     std::uint64_t free = status.info.free_bytes > status.reserved_bytes
                              ? status.info.free_bytes - status.reserved_bytes
                              : 0;
-    candidates.push_back(Candidate{id, free});
+    candidates.push_back(
+        Candidate{id, free, Mix64(id * 0x9E3779B97F4A7C15ull + cursor)});
   }
   if (static_cast<int>(candidates.size()) < width) {
     return UnavailableError("not enough online benefactors for stripe width " +
                             std::to_string(width));
   }
 
-  // Most free space first; a per-call hashed tie-break spreads equally-free
-  // donors across successive stripes.
-  std::uint64_t cursor = rr_cursor_++;
-  std::sort(candidates.begin(), candidates.end(),
-            [cursor](const Candidate& a, const Candidate& b) {
-              if (a.effective_free != b.effective_free) {
-                return a.effective_free > b.effective_free;
-              }
-              return Mix64(a.id * 0x9E3779B97F4A7C15ull + cursor) <
-                     Mix64(b.id * 0x9E3779B97F4A7C15ull + cursor);
-            });
+  // Only the top `width` need ordering: O(n log width) under the lock.
+  auto top = candidates.begin() + width;
+  std::partial_sort(candidates.begin(), top, candidates.end(),
+                    [](const Candidate& a, const Candidate& b) {
+                      if (a.effective_free != b.effective_free) {
+                        return a.effective_free > b.effective_free;
+                      }
+                      return a.tie_break < b.tie_break;
+                    });
 
   std::vector<NodeId> stripe;
   stripe.reserve(static_cast<std::size_t>(width));
-  for (int i = 0; i < width; ++i) stripe.push_back(candidates[static_cast<std::size_t>(i)].id);
+  for (auto it = candidates.begin(); it != top; ++it) stripe.push_back(it->id);
   return stripe;
 }
 
@@ -170,16 +179,13 @@ std::vector<BenefactorStatus> BenefactorRegistry::Export() const {
 }
 
 void BenefactorRegistry::Import(const std::vector<BenefactorStatus>& nodes,
-                                NodeId next_id, std::uint64_t epoch) {
+                                NodeId next_id) {
   MutexLock lock(mu_);
   nodes_.clear();
   for (const BenefactorStatus& status : nodes) {
     nodes_[status.id] = status;
   }
   next_id_ = next_id;
-  // Conservative bump past the snapshot's epoch: any table cached against
-  // the pre-failover manager is forced to refetch from the promoted one.
-  epoch_ = std::max<std::uint64_t>(epoch, 1) + 1;
 }
 
 void BenefactorRegistry::AddUsed(NodeId node, std::uint64_t bytes) {

@@ -41,6 +41,8 @@ class BenefactorRegistry {
   std::vector<NodeId> ExpireStale();
 
   bool IsOnline(NodeId node) const;
+  // The members of `nodes` that are offline or unknown, in input order.
+  std::vector<NodeId> OfflineAmong(const std::vector<NodeId>& nodes) const;
   Result<BenefactorStatus> Get(NodeId node) const;
   std::vector<NodeId> OnlineNodes() const;
   std::size_t online_count() const;
@@ -52,6 +54,10 @@ class BenefactorRegistry {
   // candidates exist.
   Result<std::vector<NodeId>> SelectStripe(
       int width, const std::vector<NodeId>& exclude = {}) const;
+  // SelectStripe plus AddReserved(bytes_per_member) on every pick, under one
+  // lock: concurrent writers see each other's reservations and spread out.
+  Result<std::vector<NodeId>> SelectAndReserve(int width,
+                                               std::uint64_t bytes_per_member);
 
   // Eager space reservation bookkeeping (paper §IV.A: "clients eagerly
   // reserve space with the manager for future writes").
@@ -62,31 +68,18 @@ class BenefactorRegistry {
   void AddUsed(NodeId node, std::uint64_t bytes);
   void ReleaseUsed(NodeId node, std::uint64_t bytes);
 
-  // ---- Epoch-versioned placement table -------------------------------------
-  // Every membership change (register, administrative offline, heartbeat
-  // expiry, revival of an expired node) bumps the placement epoch *inside*
-  // the same mutation, so a snapshot can never pair a new member list with
-  // an old epoch (or vice versa). Free-space-only heartbeats do not bump:
-  // they change weights, not membership, and must not invalidate every
-  // client cache on every heartbeat.
-  std::uint64_t placement_epoch() const EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return epoch_;
-  }
-  // Atomic (members, epoch) snapshot of the online membership.
-  PlacementTable PlacementSnapshot() const;
-
   // ---- Snapshot support -----------------------------------------------------
   std::vector<BenefactorStatus> Export() const;
   NodeId next_id() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return next_id_;
   }
-  void Import(const std::vector<BenefactorStatus>& nodes, NodeId next_id,
-              std::uint64_t epoch);
+  void Import(const std::vector<BenefactorStatus>& nodes, NodeId next_id);
 
  private:
   std::vector<NodeId> OnlineNodesLocked() const REQUIRES(mu_);
+  Result<std::vector<NodeId>> SelectStripeLocked(
+      int width, const std::vector<NodeId>& exclude) const REQUIRES(mu_);
 
   const VirtualClock* clock_;
   ClockTime heartbeat_expiry_us_;
@@ -96,8 +89,6 @@ class BenefactorRegistry {
   // mutable: SelectStripe is a logically-const read that advances the
   // tie-break cursor.
   mutable std::uint64_t rr_cursor_ GUARDED_BY(mu_) = 0;
-  // Starts at 1 so clients can use 0 as "no cached table / legacy commit".
-  std::uint64_t epoch_ GUARDED_BY(mu_) = 1;
 };
 
 }  // namespace stdchk

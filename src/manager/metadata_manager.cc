@@ -34,6 +34,39 @@ std::uint64_t ChunkMapFingerprint(const ChunkMap& map) {
   return hasher.Finish().Prefix64();
 }
 
+// Removes the donors in `departed` (sorted) from a chunk map about to be
+// committed. Replicas on them are dropped; erasure shards on them are
+// marked lost in place, since shard positions are shard indices and must
+// not shift. Fails if a chunk is left with no live replica or fewer than k
+// live shards: the version must never become visible with unreadable data.
+Status DropDeparted(const std::vector<NodeId>& departed, ChunkMap* map) {
+  auto gone = [&departed](NodeId node) {
+    return std::binary_search(departed.begin(), departed.end(), node);
+  };
+  for (ChunkLocation& loc : map->chunks) {
+    if (loc.erasure_coded()) {
+      int live = 0;
+      for (ShardLocation& sl : loc.shards) {
+        if (sl.node != kInvalidNode && gone(sl.node)) sl.node = kInvalidNode;
+        if (sl.node != kInvalidNode) ++live;
+      }
+      if (live < static_cast<int>(loc.ec_k)) {
+        return FailedPreconditionError(
+            "erasure-coded chunk " + loc.id.ToHex() +
+            " has fewer than k shards on live benefactors");
+      }
+      continue;
+    }
+    std::erase_if(loc.replicas, gone);
+    if (loc.replicas.empty()) {
+      return FailedPreconditionError(
+          "chunk " + loc.id.ToHex() +
+          " has every replica on departed benefactors");
+    }
+  }
+  return OkStatus();
+}
+
 }  // namespace
 
 MetadataManager::MetadataManager(const VirtualClock* clock,
@@ -121,18 +154,20 @@ Status MetadataManager::OfferRecoveredVersion(NodeId from,
 
 Result<WriteReservation> MetadataManager::ReserveStripe(int width,
                                                         std::uint64_t bytes) {
-  MutexLock lock(mu_);
   STDCHK_RETURN_IF_ERROR(CheckUp());
+  if (width <= 0) return InvalidArgumentError("stripe width must be > 0");
   stat_server_placements_.fetch_add(1, std::memory_order_relaxed);
+  // Pick and charge under the registry lock alone, so the placement work
+  // stays off mu_; mu_ only guards the reservation table.
+  std::uint64_t per_node = bytes / static_cast<std::uint64_t>(width) + 1;
   STDCHK_ASSIGN_OR_RETURN(std::vector<NodeId> stripe,
-                          registry_.SelectStripe(width));
+                          registry_.SelectAndReserve(width, per_node));
+  MutexLock lock(mu_);
   Reservation res;
   res.id = next_reservation_++;
   res.stripe = stripe;
   res.bytes = bytes;
   res.last_touch = clock_->NowUs();
-  std::uint64_t per_node = bytes / static_cast<std::uint64_t>(width) + 1;
-  for (NodeId node : stripe) registry_.AddReserved(node, per_node);
   reservations_[res.id] = res;
 
   WriteReservation out;
@@ -167,8 +202,6 @@ Result<NodeId> MetadataManager::ReplaceReservationNode(ReservationId id,
   if (slot == res.stripe.end()) {
     return NotFoundError("node is not a member of the reservation stripe");
   }
-  // Failover replacement is a server-side pick by design: it needs the
-  // freshest membership, and it is off the steady-state write path.
   stat_server_placements_.fetch_add(1, std::memory_order_relaxed);
   STDCHK_ASSIGN_OR_RETURN(std::vector<NodeId> fresh,
                           registry_.SelectStripe(1, res.stripe));
@@ -202,12 +235,6 @@ Status MetadataManager::ReleaseReservation(ReservationId id) {
 
 Status MetadataManager::CommitVersion(ReservationId id,
                                       const VersionRecord& record) {
-  return CommitVersionAt(id, record, /*placed_epoch=*/0);
-}
-
-Status MetadataManager::CommitVersionAt(ReservationId id,
-                                        const VersionRecord& record,
-                                        std::uint64_t placed_epoch) {
   STDCHK_RETURN_IF_ERROR(CheckUp());
   VersionRecord to_commit = record;
   // The folder's replication target applies unless the record overrides it.
@@ -216,55 +243,29 @@ Status MetadataManager::CommitVersionAt(ReservationId id,
     to_commit.replication_target = policy.replication_target;
   }
 
-  if (placed_epoch != 0) {
-    MutexLock lock(mu_);
-    if (placed_epoch != registry_.placement_epoch()) {
-      // Stale placement: membership changed after the client computed its
-      // stripe. Drop replicas on departed benefactors; a chunk left with
-      // no live replica fails the whole commit (session semantics: the
-      // version must never become visible with unreachable data).
-      for (ChunkLocation& loc : to_commit.chunk_map.chunks) {
-        std::erase_if(loc.replicas, [this](NodeId node) {
-          return !registry_.IsOnline(node);
-        });
-        if (loc.erasure_coded()) {
-          // EC entries survive the k-loss rule: shards on departed
-          // benefactors are marked lost-in-place (positions are shard
-          // indices and must not shift), and the commit stands as long as
-          // k shards remain readable. Repair restores the margin later.
-          int live = 0;
-          for (ShardLocation& sl : loc.shards) {
-            if (sl.node != kInvalidNode && !registry_.IsOnline(sl.node)) {
-              sl.node = kInvalidNode;
-            }
-            if (sl.node != kInvalidNode) ++live;
-          }
-          if (live < static_cast<int>(loc.ec_k)) {
-            stat_epoch_mismatches_.fetch_add(1, std::memory_order_relaxed);
-            return FailedPreconditionError(
-                "placement epoch " + std::to_string(placed_epoch) +
-                " is stale and erasure-coded chunk " + loc.id.ToHex() +
-                " has fewer than k shards on live benefactors");
-          }
-          continue;
-        }
-        if (loc.replicas.empty()) {
-          stat_epoch_mismatches_.fetch_add(1, std::memory_order_relaxed);
-          return FailedPreconditionError(
-              "placement epoch " + std::to_string(placed_epoch) +
-              " is stale and chunk " + loc.id.ToHex() +
-              " has every replica on departed benefactors");
-        }
-      }
+  // A donor may depart between placement and commit: the registry is asked
+  // once about every donor the map names, and the map is filtered only if
+  // one of them is offline.
+  std::vector<NodeId> named;
+  for (const ChunkLocation& loc : to_commit.chunk_map.chunks) {
+    named.insert(named.end(), loc.replicas.begin(), loc.replicas.end());
+    for (const ShardLocation& sl : loc.shards) {
+      if (sl.node != kInvalidNode) named.push_back(sl.node);
     }
+  }
+  std::sort(named.begin(), named.end());
+  named.erase(std::unique(named.begin(), named.end()), named.end());
+  std::vector<NodeId> departed = registry_.OfflineAmong(named);
+  if (!departed.empty()) {
+    STDCHK_RETURN_IF_ERROR(DropDeparted(departed, &to_commit.chunk_map));
   }
 
   // The catalog commit is the atomic visibility point; it serializes on
-  // the folder's shard only. The registry accounting below runs under mu_
-  // afterwards — a reader observing the committed version before the
+  // the folder's shard only. The registry accounting below runs afterwards
+  // (charged before the reservation is released, and only the reservation
+  // table needs mu_) — a reader observing the committed version before the
   // free-space figures settle is harmless (reservation GC is TTL-based).
   STDCHK_RETURN_IF_ERROR(catalog_.CommitVersion(to_commit));
-  MutexLock lock(mu_);
   for (const ChunkLocation& loc : to_commit.chunk_map.chunks) {
     for (NodeId node : loc.replicas) registry_.AddUsed(node, loc.size);
     for (std::size_t s = 0; s < loc.shards.size(); ++s) {
@@ -275,60 +276,11 @@ Status MetadataManager::CommitVersionAt(ReservationId id,
     }
   }
   if (id != 0) {
+    MutexLock lock(mu_);
     auto it = reservations_.find(id);
     if (it != reservations_.end()) ReleaseReservationLocked(it);
   }
   return OkStatus();
-}
-
-Result<PlacementTable> MetadataManager::GetPlacementTable() const {
-  MutexLock lock(mu_);
-  STDCHK_RETURN_IF_ERROR(CheckUp());
-  stat_table_fetches_.fetch_add(1, std::memory_order_relaxed);
-  return registry_.PlacementSnapshot();
-}
-
-Result<WriteReservation> MetadataManager::ReserveStripeAt(
-    std::uint64_t epoch, const std::vector<NodeId>& stripe,
-    std::uint64_t bytes) {
-  MutexLock lock(mu_);
-  STDCHK_RETURN_IF_ERROR(CheckUp());
-  if (stripe.empty()) return InvalidArgumentError("empty stripe");
-  if (epoch != registry_.placement_epoch()) {
-    stat_epoch_mismatches_.fetch_add(1, std::memory_order_relaxed);
-    return FailedPreconditionError(
-        "placement epoch " + std::to_string(epoch) + " is stale (current " +
-        std::to_string(registry_.placement_epoch()) + ")");
-  }
-  // With a current epoch every table member is registry-online; anything
-  // else in the stripe is a client bug, not staleness.
-  for (std::size_t i = 0; i < stripe.size(); ++i) {
-    if (!registry_.IsOnline(stripe[i])) {
-      return InvalidArgumentError("stripe member " +
-                                  std::to_string(stripe[i]) +
-                                  " is not an online benefactor");
-    }
-    for (std::size_t j = i + 1; j < stripe.size(); ++j) {
-      if (stripe[i] == stripe[j]) {
-        return InvalidArgumentError("stripe members must be distinct");
-      }
-    }
-  }
-
-  Reservation res;
-  res.id = next_reservation_++;
-  res.stripe = stripe;
-  res.bytes = bytes;
-  res.last_touch = clock_->NowUs();
-  std::uint64_t per_node = bytes / stripe.size() + 1;
-  for (NodeId node : stripe) registry_.AddReserved(node, per_node);
-  reservations_[res.id] = res;
-
-  WriteReservation out;
-  out.id = res.id;
-  out.stripe = stripe;
-  out.reserved_bytes = bytes;
-  return out;
 }
 
 // Catalog-only RPCs take no manager lock at all: the catalog is internally
@@ -586,14 +538,6 @@ std::vector<ChunkId> MetadataManager::TakeLostChunks() {
 
 ManagerCounters MetadataManager::Counters() const {
   ManagerCounters out;
-  {
-    MutexLock lock(mu_);
-    out.placement_epoch = registry_.placement_epoch();
-  }
-  out.placement_table_fetches =
-      stat_table_fetches_.load(std::memory_order_relaxed);
-  out.placement_epoch_mismatches =
-      stat_epoch_mismatches_.load(std::memory_order_relaxed);
   out.server_side_placements =
       stat_server_placements_.load(std::memory_order_relaxed);
   out.shard_records_released = catalog_.ShardRecordsReleased();
@@ -694,7 +638,6 @@ Bytes MetadataManager::SaveSnapshot() const {
   // Registry.
   std::vector<BenefactorStatus> nodes = registry_.Export();
   w.U32(registry_.next_id());
-  w.U64(registry_.placement_epoch());
   w.U32(static_cast<std::uint32_t>(nodes.size()));
   for (const BenefactorStatus& node : nodes) {
     w.U32(node.id);
@@ -736,7 +679,6 @@ Status MetadataManager::LoadSnapshot(ByteSpan snapshot) {
   }
 
   STDCHK_ASSIGN_OR_RETURN(NodeId next_id, r.U32());
-  STDCHK_ASSIGN_OR_RETURN(std::uint64_t epoch, r.U64());
   STDCHK_ASSIGN_OR_RETURN(std::uint32_t node_count, r.U32());
   std::vector<BenefactorStatus> nodes;
   nodes.reserve(node_count);
@@ -792,7 +734,7 @@ Status MetadataManager::LoadSnapshot(ByteSpan snapshot) {
   if (!r.AtEnd()) return DataLossError("trailing bytes in snapshot");
 
   // Commit point: only mutate after the whole snapshot parsed.
-  registry_.Import(nodes, next_id, epoch);
+  registry_.Import(nodes, next_id);
   STDCHK_RETURN_IF_ERROR(catalog_.Import(state));
   reservations_.clear();
   inflight_.clear();

@@ -44,16 +44,11 @@ struct ManagerOptions {
   int catalog_shards = 1;
 };
 
-// Control-plane counters for observability and the scale bench. The
-// placement counters express the decentralized-placement invariant: in
-// steady state (no membership churn) the manager performs zero placement
-// work — table fetches happen once per client, mismatches and server-side
-// placements stay at zero.
+// Control-plane counters for observability and the scale bench.
 struct ManagerCounters {
-  std::uint64_t placement_epoch = 0;
-  std::uint64_t placement_table_fetches = 0;    // GetPlacementTable calls
-  std::uint64_t placement_epoch_mismatches = 0; // stale-epoch rejections
-  std::uint64_t server_side_placements = 0;     // legacy SelectStripe calls
+  // Stripes the manager picked: one per ReserveStripe (one per written
+  // file) plus one per failover ReplaceReservationNode.
+  std::uint64_t server_side_placements = 0;
   // Shard records released by version deletion/purge — the metadata half
   // of shard-group GC (physical bytes follow via the GC exchange).
   std::uint64_t shard_records_released = 0;
@@ -90,19 +85,9 @@ class MetadataManager {
 
   // ---- Client-facing RPCs --------------------------------------------------
   // Eagerly reserves `bytes` across a stripe of `width` benefactors. The
-  // legacy (server-side placement) path: the manager picks the stripe.
+  // manager picks every stripe: the online donors with the most effective
+  // free space (BenefactorRegistry::SelectStripe).
   Result<WriteReservation> ReserveStripe(int width, std::uint64_t bytes);
-
-  // ---- Decentralized placement (epoch-versioned table) ---------------------
-  // Publishes the current placement table; clients cache it and compute
-  // stripes locally (client/placement.h: ComputeStripe).
-  Result<PlacementTable> GetPlacementTable() const;
-  // Reserves a client-chosen stripe placed against table `epoch`. Fails
-  // FailedPrecondition when the epoch is stale (membership changed since
-  // the client cached the table) — the client refetches and retries.
-  Result<WriteReservation> ReserveStripeAt(std::uint64_t epoch,
-                                           const std::vector<NodeId>& stripe,
-                                           std::uint64_t bytes);
   // Extends an existing reservation (incremental space allocation: stdchk
   // "cannot predict in advance the file size", §IV.A).
   Status ExtendReservation(ReservationId id, std::uint64_t additional_bytes);
@@ -116,16 +101,12 @@ class MetadataManager {
   Result<NodeId> ReplaceReservationNode(ReservationId id, NodeId dead);
 
   // Atomic commit of a version's chunk map — the session-semantics commit
-  // point. Releases the reservation (id 0 = no reservation).
+  // point. Releases the reservation (id 0 = no reservation). Replicas on
+  // benefactors that departed since placement are dropped and erasure
+  // shards on them are marked lost in place; the commit fails
+  // FailedPrecondition if a chunk would be left with no live replica or
+  // fewer than k live shards. A committed map never names a departed donor.
   Status CommitVersion(ReservationId id, const VersionRecord& record);
-
-  // Epoch-validated commit: `placed_epoch` is the table epoch the client
-  // placed against (0 = legacy, no validation). If membership changed since
-  // placement, replicas on departed benefactors are dropped; the commit is
-  // rejected FailedPrecondition if any chunk would be left with no live
-  // replica — a stale client can never commit onto a departed benefactor.
-  Status CommitVersionAt(ReservationId id, const VersionRecord& record,
-                         std::uint64_t placed_epoch);
 
   Result<VersionRecord> GetVersion(const CheckpointName& name) const;
   Result<VersionRecord> GetLatest(const std::string& app,
@@ -234,8 +215,6 @@ class MetadataManager {
   // the manager, and the rank validator enforces the order.
   mutable Mutex mu_{LockRank::kManager, 0, "metadata_manager"};
 
-  mutable std::atomic<std::uint64_t> stat_table_fetches_{0};
-  std::atomic<std::uint64_t> stat_epoch_mismatches_{0};
   std::atomic<std::uint64_t> stat_server_placements_{0};
 
   BenefactorRegistry registry_;

@@ -85,25 +85,6 @@ struct WriteReservation {
   std::uint64_t reserved_bytes = 0;  // per the eager-reservation request
 };
 
-// ---- Epoch-versioned placement (decentralized stripe selection) ----------
-//
-// The manager publishes benefactor membership + free space under a
-// monotonically increasing epoch. Clients cache the table and compute
-// stripes locally; the manager is consulted again only when a reservation
-// or commit is rejected because the cached epoch went stale (membership
-// changed). This takes per-write placement off the manager's critical path
-// while keeping a stale client unable to commit onto a departed benefactor.
-struct PlacementMember {
-  NodeId id = kInvalidNode;
-  // Effective free space (free minus eager reservations) at publish time.
-  std::uint64_t free_bytes = 0;
-};
-
-struct PlacementTable {
-  std::uint64_t epoch = 0;
-  std::vector<PlacementMember> members;  // online benefactors, ascending id
-};
-
 // A single background-replication command: copy `chunk` from `source` to
 // `target`. Issued by the manager's replication scheduler; executed by the
 // transport layer; acked back to the manager.

