@@ -3,29 +3,27 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "common/hash_pool.h"
 #include "common/log.h"
 
 namespace stdchk {
+namespace {
+
+// Upper bound on chunks coalesced into one batched multi-chunk PUT by the
+// per-benefactor queues.
+constexpr std::size_t kMaxBatchChunks = 64;
+
+}  // namespace
 
 ChunkUploader::ChunkUploader(Transport* transport,
-                             PlacementPolicy* placement,
                              CommitCoordinator* coordinator,
                              const ClientOptions& options, WriteStats* stats)
     : transport_(transport),
-      placement_(placement),
       coordinator_(coordinator),
       options_(options),
       stats_(stats) {}
-
-int ChunkUploader::replicas_needed() const {
-  return options_.semantics == WriteSemantics::kPessimistic
-             ? std::max(1, options_.replication_target)
-             : 1;
-}
 
 void ChunkUploader::Stage(StagedChunk chunk) {
   Pending p;
@@ -38,196 +36,94 @@ void ChunkUploader::Stage(StagedChunk chunk) {
 
 Status ChunkUploader::Flush() {
   if (pending_.empty()) return OkStatus();
-  if (options_.erasure.enabled()) return FlushErasure();
+  const bool erasure = options_.erasure.enabled();
+  const int k = options_.erasure.k;
+  const int m = options_.erasure.m;
+  if (erasure && !rs_.has_value()) {
+    STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, m));
+    rs_.emplace(std::move(rs));
+  }
 
   // Batch-aware reservation: one ensure covers the whole drain instead of
-  // one manager round trip per chunk.
-  STDCHK_RETURN_IF_ERROR(coordinator_->EnsureReservation(pending_bytes_));
-
-  const int needed = replicas_needed();
-  const std::size_t stripe_size = coordinator_->stripe().size();
-  const std::size_t attempt_limit = stripe_size * 2 + 4;
-
-  // Plan every chunk's candidate walk up front; the cursor advances per
-  // chunk so successive chunks spread round-robin over the stripe.
-  struct Tracked {
-    Pending* p;
-    std::size_t attempts = 0;
-  };
-  std::vector<Tracked> tracked;
-  tracked.reserve(pending_.size());
-  for (Pending& p : pending_) {
-    p.candidates = placement_->PlanChunk(coordinator_->stripe());
-    placement_->OnChunkPlaced(coordinator_->stripe());
-    tracked.push_back(Tracked{&p});
-  }
-
-  // Drain rounds: each round assigns every still-needy chunk its next
-  // placement candidate, then puts one (or more, above max_batch_chunks)
-  // batched PUT per target node in flight — all nodes concurrently — and
-  // harvests the completions.
-  while (true) {
-    std::map<NodeId, std::vector<Pending*>> queues;
-    for (Tracked& t : tracked) {
-      Pending& p = *t.p;
-      if (static_cast<int>(p.replicas.size()) >= needed) continue;
-      // Next candidate not already holding the chunk; every pop counts
-      // against the failover budget.
-      NodeId target = kInvalidNode;
-      while (!p.candidates.empty() && t.attempts < attempt_limit) {
-        NodeId c = p.candidates.front();
-        p.candidates.erase(p.candidates.begin());
-        ++t.attempts;
-        if (std::find(p.replicas.begin(), p.replicas.end(), c) ==
-            p.replicas.end()) {
-          target = c;
-          break;
-        }
-      }
-      if (target != kInvalidNode) queues[target].push_back(&p);
-    }
-    if (queues.empty()) break;
-
-    // Submit the whole round before waiting on any of it.
-    struct InflightBatch {
-      NodeId node;
-      std::vector<Pending*> items;
-    };
-    std::map<OpHandle, InflightBatch> inflight;
-    for (auto& [node, items] : queues) {
-      std::size_t batch_limit =
-          options_.max_batch_chunks == 0 ? items.size()
-                                         : options_.max_batch_chunks;
-      for (std::size_t begin = 0; begin < items.size(); begin += batch_limit) {
-        std::size_t end = std::min(items.size(), begin + batch_limit);
-        std::vector<ChunkPut> batch;
-        batch.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          batch.push_back(ChunkPut{items[i]->chunk.id, items[i]->chunk.data});
-        }
-        OpHandle h = transport_->Submit(ChunkOp::PutBatch(node, std::move(batch)));
-        inflight.emplace(
-            h, InflightBatch{node, {items.begin() + static_cast<std::ptrdiff_t>(begin),
-                                    items.begin() + static_cast<std::ptrdiff_t>(end)}});
-      }
-    }
-    stats_->inflight_put_peak =
-        std::max<std::uint64_t>(stats_->inflight_put_peak, inflight.size());
-
-    std::set<NodeId> replaced_this_round;
-    while (!inflight.empty()) {
-      std::vector<OpHandle> handles;
-      handles.reserve(inflight.size());
-      for (const auto& [h, b] : inflight) handles.push_back(h);
-      STDCHK_ASSIGN_OR_RETURN(OpCompletion c, transport_->WaitAny(handles));
-      auto it = inflight.find(c.handle);
-      InflightBatch batch = std::move(it->second);
-      inflight.erase(it);
-
-      if (c.status.ok()) {
-        ++stats_->batched_puts;
-        for (Pending* p : batch.items) {
-          p->replicas.push_back(batch.node);
-          stats_->bytes_transferred += p->chunk.data.size();
-          ++stats_->replica_puts;
-        }
-        continue;
-      }
-      // The node rejected the batch (offline, unreachable, full): swap it
-      // out of the stripe and patch *every* pending chunk's walk in place —
-      // walks were snapshotted from the pre-failure stripe, so the fresh
-      // donor must take over the dead node's walk positions (and chunks
-      // outside this batch must see it too). Without a replacement, drop
-      // the dead node so walks stop burning failover budget on it. Later
-      // completions from the same node this round fail consistently and
-      // skip the (already done) replacement.
-      STDCHK_LOG(kDebug, "client")
-          << "batch put of " << batch.items.size() << " chunks to node "
-          << batch.node << " failed: " << c.status.ToString();
-      if (!replaced_this_round.insert(batch.node).second) continue;
-      auto fresh = coordinator_->ReplaceStripeMember(batch.node);
-      for (Tracked& t : tracked) {
-        Pending& p = *t.p;
-        if (fresh.ok()) {
-          std::replace(p.candidates.begin(), p.candidates.end(), batch.node,
-                       fresh.value());
-        } else {
-          p.candidates.erase(std::remove(p.candidates.begin(),
-                                         p.candidates.end(), batch.node),
-                             p.candidates.end());
-        }
-      }
+  // one manager round trip per chunk. Reserved bytes are what the manager
+  // holds against the stripe while the write is open, so they include the
+  // parity overhead.
+  std::uint64_t upload_bytes = pending_bytes_;
+  if (erasure) {
+    for (const Pending& p : pending_) {
+      upload_bytes += static_cast<std::uint64_t>(m) *
+                      ErasureShardSize(
+                          static_cast<std::uint32_t>(p.chunk.data.size()), k);
     }
   }
+  STDCHK_RETURN_IF_ERROR(coordinator_->EnsureReservation(upload_bytes));
+  if (erasure) {
+    STDCHK_RETURN_IF_ERROR(EncodeShards());
+  } else {
+    const int need = options_.semantics == WriteSemantics::kPessimistic
+                         ? std::max(1, options_.replication_target)
+                         : 1;
+    for (Pending& p : pending_) {
+      if (!p.units.empty()) continue;  // a retry keeps stored replicas
+      Unit whole;
+      whole.put = ChunkPut(p.chunk.id, p.chunk.data);
+      whole.need = need;
+      p.units.push_back(std::move(whole));
+    }
+  }
+  STDCHK_RETURN_IF_ERROR(Drain());
 
   // Validate the whole drain before settling anything: a failed flush
-  // must leave pending_ (including replicas already stored this round)
-  // intact, so a retry tops up what is missing instead of re-uploading
-  // and double-consuming the reservation.
+  // must leave pending_ (including replicas already stored) intact, so a
+  // retry tops up what is missing instead of re-uploading and
+  // double-consuming the reservation.
   for (const Pending& p : pending_) {
-    if (p.replicas.empty()) {
-      return UnavailableError("could not store chunk on any benefactor");
-    }
-    if (static_cast<int>(p.replicas.size()) < needed &&
-        options_.semantics == WriteSemantics::kPessimistic) {
+    for (const Unit& u : p.units) {
+      if (static_cast<int>(u.placed.size()) >= u.need) continue;
+      if (erasure) {
+        return UnavailableError(
+            "could not stripe all " + std::to_string(k + m) +
+            " erasure shards across distinct benefactors");
+      }
+      if (u.placed.empty()) {
+        return UnavailableError("could not store chunk on any benefactor");
+      }
       return UnavailableError(
           "pessimistic write could not reach replication target " +
-          std::to_string(needed));
+          std::to_string(u.need));
     }
   }
   for (Pending& p : pending_) {
-    coordinator_->ConsumeReserved(p.chunk.data.size());
-    coordinator_->SetReplicas(p.map_slot, std::move(p.replicas));
+    std::uint64_t consumed = 0;
+    for (const Unit& u : p.units) consumed += u.put.data.size();
+    coordinator_->ConsumeReserved(consumed);
+    if (erasure) {
+      std::vector<ShardLocation> shards;
+      shards.reserve(p.units.size());
+      for (const Unit& u : p.units) {
+        shards.push_back(ShardLocation{u.put.id, u.placed.front()});
+      }
+      coordinator_->SetShards(p.map_slot, k, m, std::move(shards));
+    } else {
+      coordinator_->SetReplicas(p.map_slot, std::move(p.units[0].placed));
+    }
   }
   pending_.clear();
   pending_bytes_ = 0;
   return OkStatus();
 }
 
-Status ChunkUploader::FlushErasure() {
+Status ChunkUploader::EncodeShards() {
   const int k = options_.erasure.k;
   const int m = options_.erasure.m;
-  if (!rs_.has_value()) {
-    STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, m));
-    rs_.emplace(std::move(rs));
-  }
-
-  // The reservation must cover the parity overhead, not just the payload:
-  // reserved bytes are what the manager holds against the stripe while the
-  // write is open.
-  std::uint64_t shard_bytes = 0;
-  for (const Pending& p : pending_) {
-    const std::uint32_t size = static_cast<std::uint32_t>(p.chunk.data.size());
-    shard_bytes += size + static_cast<std::uint64_t>(m) *
-                              ErasureShardSize(size, k);
-  }
-  STDCHK_RETURN_IF_ERROR(coordinator_->EnsureReservation(shard_bytes));
   if (static_cast<int>(coordinator_->stripe().size()) < k + m) {
     return UnavailableError(
         "erasure-coded write needs a stripe of at least k+m = " +
         std::to_string(k + m) + " benefactors, stripe has " +
         std::to_string(coordinator_->stripe().size()));
   }
-
-  // One placement unit per shard. Shards of one group must land on
-  // distinct benefactors — a single death may cost at most one of the m
-  // losses the code tolerates.
-  struct ShardUpload {
-    Pending* parent = nullptr;
-    int index = 0;  // shard order within the group: data first, then parity
-    ChunkId id;
-    BufferSlice data;
-    std::vector<NodeId> candidates;
-    std::size_t attempts = 0;
-    NodeId placed = kInvalidNode;
-  };
-  std::vector<ShardUpload> shards;
-  shards.reserve(pending_.size() * static_cast<std::size_t>(k + m));
-  std::map<Pending*, std::set<NodeId>> group_nodes;
-
   HashPool& pool = HashPool::Shared();
   const int workers = HashPool::ResolveThreads(options_.hash_workers);
-  const std::size_t attempt_limit = coordinator_->stripe().size() * 2 + 4;
 
   for (Pending& p : pending_) {
     const std::uint32_t size = static_cast<std::uint32_t>(p.chunk.data.size());
@@ -254,8 +150,8 @@ Status ChunkUploader::FlushErasure() {
             std::chrono::steady_clock::now() - t0)
             .count());
     for (int i = 0; i < m; ++i) {
-      slices[static_cast<std::size_t>(k + i)] =
-          BufferSlice(BufferRef::Take(std::move(parity[static_cast<std::size_t>(i)])));
+      slices[static_cast<std::size_t>(k + i)] = BufferSlice(
+          BufferRef::Take(std::move(parity[static_cast<std::size_t>(i)])));
     }
     // Content-address every shard (benefactor admission verifies against
     // it); naming fans across the shared pool under the same deterministic
@@ -266,78 +162,91 @@ Status ChunkUploader::FlushErasure() {
     });
     ++stats_->erasure_encoded_chunks;
 
-    std::vector<NodeId> walk = placement_->PlanChunk(coordinator_->stripe());
-    placement_->OnChunkPlaced(coordinator_->stripe());
-    for (int s = 0; s < k + m; ++s) {
-      ShardUpload u;
-      u.parent = &p;
-      u.index = s;
-      u.id = ids[static_cast<std::size_t>(s)];
-      u.data = slices[static_cast<std::size_t>(s)];
-      if (options_.stamp_chunk_digests) u.data.StampDigest(u.id.digest);
-      // Rotate the group's walk by the shard index so the group fans out
-      // across the stripe instead of queueing on its head.
-      std::size_t rot = static_cast<std::size_t>(s) % walk.size();
-      u.candidates.assign(walk.begin() + static_cast<std::ptrdiff_t>(rot),
-                          walk.end());
-      u.candidates.insert(u.candidates.end(), walk.begin(),
-                          walk.begin() + static_cast<std::ptrdiff_t>(rot));
-      shards.push_back(std::move(u));
+    p.units.assign(slices.size(), Unit{});
+    for (std::size_t s = 0; s < slices.size(); ++s) {
+      ChunkPut& put = p.units[s].put;
+      put = ChunkPut(ids[s], std::move(slices[s]));
+      put.group = p.chunk.id;
+      put.shard_index = static_cast<std::int32_t>(s);
+      if (options_.stamp_chunk_digests) put.data.StampDigest(put.id.digest);
+    }
+  }
+  return OkStatus();
+}
+
+Status ChunkUploader::Drain() {
+  // Every chunk walks the stripe from the cursor, which advances one member
+  // per chunk so successive chunks spread round-robin. The walk wraps twice
+  // plus slack — every member gets a retry before a unit is declared
+  // unplaceable — and its length is the unit's whole failover budget:
+  // every step spends one candidate.
+  const std::vector<NodeId>& stripe = coordinator_->stripe();
+  std::vector<NodeId> walk(stripe.empty() ? 0 : stripe.size() * 2 + 4);
+  for (Pending& p : pending_) {
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      walk[i] = cursor_.Peek(stripe, i);
+    }
+    cursor_.Advance(stripe.size());
+    p.nodes.clear();
+    for (std::size_t s = 0; s < p.units.size(); ++s) {
+      // Unit s starts s steps in, so a shard group fans out across the
+      // stripe instead of queueing on its head.
+      Unit& u = p.units[s];
+      u.walk = walk;
+      if (!walk.empty()) {
+        std::rotate(u.walk.begin(),
+                    u.walk.begin() +
+                        static_cast<std::ptrdiff_t>(s % walk.size()),
+                    u.walk.end());
+      }
+      p.nodes.insert(u.placed.begin(), u.placed.end());
     }
   }
 
-  // Drain rounds, mirroring the replication flush: assign each unplaced
-  // shard its next candidate not already used by a sibling, then keep one
-  // batched PUT per target node in flight and harvest.
+  struct Queued {
+    Pending* chunk;
+    Unit* unit;
+  };
+  struct InflightBatch {
+    NodeId node;
+    std::vector<Queued> items;
+  };
+  // Drain rounds: each unit still short of its need takes its next walk
+  // candidate not already used by its chunk, every target node's queue goes
+  // out as batched PUTs — all nodes concurrently — and the round's
+  // completions are harvested before the next round.
   while (true) {
-    std::map<NodeId, std::vector<ShardUpload*>> queues;
-    for (ShardUpload& u : shards) {
-      if (u.placed != kInvalidNode) continue;
-      std::set<NodeId>& used = group_nodes[u.parent];
-      NodeId target = kInvalidNode;
-      while (!u.candidates.empty() && u.attempts < attempt_limit) {
-        NodeId c = u.candidates.front();
-        u.candidates.erase(u.candidates.begin());
-        ++u.attempts;
-        if (!used.contains(c)) {
-          target = c;
-          break;
+    std::map<NodeId, std::vector<Queued>> queues;
+    for (Pending& p : pending_) {
+      for (Unit& u : p.units) {
+        if (static_cast<int>(u.placed.size()) >= u.need) continue;
+        while (!u.walk.empty()) {
+          NodeId candidate = u.walk.front();
+          u.walk.erase(u.walk.begin());
+          if (p.nodes.insert(candidate).second) {
+            queues[candidate].push_back(Queued{&p, &u});
+            break;
+          }
         }
-      }
-      if (target != kInvalidNode) {
-        used.insert(target);
-        queues[target].push_back(&u);
       }
     }
     if (queues.empty()) break;
 
-    struct InflightBatch {
-      NodeId node;
-      std::vector<ShardUpload*> items;
-    };
+    // Submit the whole round before waiting on any of it.
     std::map<OpHandle, InflightBatch> inflight;
-    for (auto& [node, items] : queues) {
-      std::size_t batch_limit = options_.max_batch_chunks == 0
-                                    ? items.size()
-                                    : options_.max_batch_chunks;
-      for (std::size_t begin = 0; begin < items.size(); begin += batch_limit) {
-        std::size_t end = std::min(items.size(), begin + batch_limit);
-        std::vector<ChunkPut> batch;
-        batch.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          ChunkPut put;
-          put.id = items[i]->id;
-          put.data = items[i]->data;
-          put.group = items[i]->parent->chunk.id;
-          put.shard_index = items[i]->index;
-          batch.push_back(std::move(put));
-        }
-        OpHandle h =
-            transport_->Submit(ChunkOp::PutBatch(node, std::move(batch)));
+    for (auto& [node, queue] : queues) {
+      for (std::size_t begin = 0; begin < queue.size();
+           begin += kMaxBatchChunks) {
+        std::size_t end = std::min(queue.size(), begin + kMaxBatchChunks);
+        InflightBatch batch{
+            node, {queue.begin() + static_cast<std::ptrdiff_t>(begin),
+                   queue.begin() + static_cast<std::ptrdiff_t>(end)}};
+        std::vector<ChunkPut> puts;
+        puts.reserve(batch.items.size());
+        for (const Queued& q : batch.items) puts.push_back(q.unit->put);
         inflight.emplace(
-            h, InflightBatch{node,
-                             {items.begin() + static_cast<std::ptrdiff_t>(begin),
-                              items.begin() + static_cast<std::ptrdiff_t>(end)}});
+            transport_->Submit(ChunkOp::PutBatch(node, std::move(puts))),
+            std::move(batch));
       }
     }
     stats_->inflight_put_peak =
@@ -355,67 +264,48 @@ Status ChunkUploader::FlushErasure() {
 
       if (c.status.ok()) {
         ++stats_->batched_puts;
-        for (ShardUpload* u : batch.items) {
-          u->placed = batch.node;
-          stats_->bytes_transferred += u->data.size();
+        for (const Queued& q : batch.items) {
+          const ChunkPut& put = q.unit->put;
+          q.unit->placed.push_back(batch.node);
+          stats_->bytes_transferred += put.data.size();
           ++stats_->replica_puts;
-          if (u->index >= k) {
+          if (put.shard_index >= options_.erasure.k) {
             ++stats_->parity_shards_written;
-            stats_->parity_bytes_written += u->data.size();
-          } else {
+            stats_->parity_bytes_written += put.data.size();
+          } else if (put.shard_index >= 0) {
             ++stats_->data_shards_written;
           }
         }
         continue;
       }
+      // The node rejected the batch (offline, unreachable, full): free it
+      // in each affected chunk so the units can walk on, then swap it out
+      // of the stripe and patch *every* walk in place — walks were planned
+      // from the pre-failure stripe, so the fresh donor must take over the
+      // dead node's walk positions (units outside this batch must see it
+      // too). Without a replacement, drop the dead node so walks stop
+      // burning failover budget on it. Later completions from the same
+      // node this round fail consistently and skip the (already done)
+      // replacement.
       STDCHK_LOG(kDebug, "client")
-          << "batch put of " << batch.items.size() << " shards to node "
+          << "batch put of " << batch.items.size() << " chunks to node "
           << batch.node << " failed: " << c.status.ToString();
-      // Free the dead node in each affected group so its shard can walk
-      // on, then swap the stripe member and patch every walk, exactly as
-      // the replication drain does.
-      for (ShardUpload* u : batch.items) {
-        group_nodes[u->parent].erase(batch.node);
-      }
+      for (const Queued& q : batch.items) q.chunk->nodes.erase(batch.node);
       if (!replaced_this_round.insert(batch.node).second) continue;
       auto fresh = coordinator_->ReplaceStripeMember(batch.node);
-      for (ShardUpload& u : shards) {
-        if (fresh.ok()) {
-          std::replace(u.candidates.begin(), u.candidates.end(), batch.node,
-                       fresh.value());
-        } else {
-          u.candidates.erase(std::remove(u.candidates.begin(),
-                                         u.candidates.end(), batch.node),
-                             u.candidates.end());
+      for (Pending& p : pending_) {
+        for (Unit& u : p.units) {
+          if (fresh.ok()) {
+            std::replace(u.walk.begin(), u.walk.end(), batch.node,
+                         fresh.value());
+          } else {
+            u.walk.erase(std::remove(u.walk.begin(), u.walk.end(), batch.node),
+                         u.walk.end());
+          }
         }
       }
     }
   }
-
-  // All k+m shards of every group must have landed: unlike replication
-  // there is no optimistic shortfall — the parity IS the durability, and a
-  // group born below full strength has already spent its loss budget.
-  for (const ShardUpload& u : shards) {
-    if (u.placed == kInvalidNode) {
-      return UnavailableError(
-          "could not stripe all " + std::to_string(k + m) +
-          " erasure shards across distinct benefactors");
-    }
-  }
-  std::size_t idx = 0;
-  for (Pending& p : pending_) {
-    std::vector<ShardLocation> locs(static_cast<std::size_t>(k + m));
-    std::uint64_t consumed = 0;
-    for (int s = 0; s < k + m; ++s, ++idx) {
-      locs[static_cast<std::size_t>(s)] =
-          ShardLocation{shards[idx].id, shards[idx].placed};
-      consumed += shards[idx].data.size();
-    }
-    coordinator_->ConsumeReserved(consumed);
-    coordinator_->SetShards(p.map_slot, k, m, std::move(locs));
-  }
-  pending_.clear();
-  pending_bytes_ = 0;
   return OkStatus();
 }
 

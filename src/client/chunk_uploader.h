@@ -1,4 +1,4 @@
-// Layer 3 of the staged write engine: moving sealed chunks to benefactors.
+// Layer 2 of the staged write engine: moving sealed chunks to benefactors.
 //
 // Staged chunks accumulate in an ordered pending set; Flush() drains them
 // through per-benefactor queues as batched multi-chunk PUTs, submitted
@@ -6,76 +6,93 @@
 // is in flight simultaneously — the drain's wall time is the slowest link,
 // not the sum of links. The three §IV.B protocols differ only in when they
 // call Flush(): SW after every sealed chunk, IW once per completed
-// increment, CLW once at close. Failover re-routes a rejected batch
-// wholesale: the dead stripe member is swapped for a fresh donor
-// (CommitCoordinator::ReplaceStripeMember) and the affected chunks walk on
-// to their next placement candidates.
-// In erasure-coded mode (ClientOptions::erasure) a flush instead encodes
-// each pending chunk into k data-shard views + m parity shards (GF(256)
-// SIMD kernels, parity rows fanned across the shared HashPool), names every
-// shard by its own content hash, and stripes the k+m shards across distinct
-// stripe members — same per-node batching and dead-member failover, but the
-// placement unit is the shard and "distinct" is enforced per group (one
-// death must cost at most one shard). All k+m shards must land or the flush
-// fails: parity is the durability, so there is no optimistic shortfall.
+// increment, CLW once at close.
+//
+// One drain serves both redundancy modes. Its placement unit is either a
+// whole chunk that needs `need` replicas, or — in erasure-coded mode
+// (ClientOptions::erasure) — one of the chunk's k+m shards, which needs one
+// node. Erasure flushes first encode each chunk into k data-shard views + m
+// parity shards (GF(256) SIMD kernels, parity rows fanned across the shared
+// HashPool) and name every shard by its own content hash. Every chunk walks
+// the write stripe round-robin from a cursor that advances one member per
+// chunk (§IV.A striping); shard s walks the chunk's walk rotated by s, so a
+// group fans out across the stripe. A chunk never puts two of its units on
+// one node: one death costs a chunk at most one replica or one shard.
+// Failover re-routes a rejected batch wholesale: the dead stripe member is
+// swapped for a fresh donor (CommitCoordinator::ReplaceStripeMember) and
+// the affected units walk on to their next candidates.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include "client/chunk_planner.h"
 #include "client/client_options.h"
 #include "client/commit_coordinator.h"
-#include "client/placement.h"
 #include "client/transport.h"
 #include "client/write_stats.h"
 #include "common/status.h"
+#include "common/striping.h"
 #include "erasure/reed_solomon.h"
 
 namespace stdchk {
 
 class ChunkUploader {
  public:
-  ChunkUploader(Transport* transport, PlacementPolicy* placement,
-                CommitCoordinator* coordinator, const ClientOptions& options,
-                WriteStats* stats);
+  ChunkUploader(Transport* transport, CommitCoordinator* coordinator,
+                const ClientOptions& options, WriteStats* stats);
 
   // Queues one sealed chunk for upload. Its chunk-map slot is claimed
   // immediately (map order == staging order == file order); the replicas
-  // are filled in when a flush lands it.
+  // or shards are filled in when a flush lands it.
   void Stage(StagedChunk chunk);
 
-  // Drains every pending chunk. Optimistic semantics need one replica per
-  // chunk; pessimistic need the full replication target or the flush
-  // fails (§IV.A tunable write semantics).
+  // Drains every pending chunk. Optimistic replication needs one replica
+  // per chunk, pessimistic the full replication target (§IV.A tunable
+  // write semantics), erasure coding all k+m shards — parity is the
+  // durability, so there is no optimistic shortfall. A failed flush
+  // settles nothing: stored replicas stay pending, so a retry tops up only
+  // what is missing, while erasure re-encodes (shard puts are
+  // content-addressed, so re-sending a stored shard is an idempotent no-op
+  // at the benefactor).
   Status Flush();
 
   std::uint64_t pending_bytes() const { return pending_bytes_; }
   std::size_t pending_chunks() const { return pending_.size(); }
 
  private:
+  // One placement unit: a whole chunk or one of its erasure shards.
+  struct Unit {
+    ChunkPut put;
+    int need = 1;                // distinct nodes that must accept it
+    std::vector<NodeId> placed;  // nodes that accepted it, in order
+    std::vector<NodeId> walk;    // remaining placement candidates
+  };
   struct Pending {
     StagedChunk chunk;
     std::size_t map_slot = 0;
-    std::vector<NodeId> candidates;  // remaining placement walk
-    std::vector<NodeId> replicas;    // nodes that accepted the chunk
+    std::vector<Unit> units;  // the whole chunk, or its k+m shards
+    // Nodes holding or receiving one of this chunk's units.
+    std::set<NodeId> nodes;
   };
 
-  int replicas_needed() const;
-  // The erasure-coded drain: encode, name, and stripe shards. All-or-
-  // nothing per call — a failed flush settles nothing and a retry re-encodes
-  // (shard puts are content-addressed, so re-sending an already-stored
-  // shard is an idempotent no-op at the benefactor).
-  Status FlushErasure();
+  // Replaces every pending chunk's units with its k+m freshly encoded and
+  // named shards.
+  Status EncodeShards();
+  // Places every unit: rounds of walk steps, batched PUTs and failover,
+  // until no unit short of its need has a candidate left.
+  Status Drain();
 
   Transport* transport_;
-  PlacementPolicy* placement_;
   CommitCoordinator* coordinator_;
   const ClientOptions& options_;
   WriteStats* stats_;
 
+  RoundRobinCursor cursor_;
   std::deque<Pending> pending_;
   std::uint64_t pending_bytes_ = 0;
   // Codec for ClientOptions::erasure, built on the first erasure flush.

@@ -55,10 +55,6 @@ struct ClientOptions {
   // prototype integrates FsCH with chunker == transfer chunk size).
   bool incremental_fsch = false;
 
-  // Upper bound on chunks coalesced into one batched multi-chunk PUT by
-  // the uploader's per-benefactor queues. 0 = unbounded.
-  std::size_t max_batch_chunks = 64;
-
   // Stamp each staged chunk's slice with the digest computed at naming
   // time, so in-process verification hops (benefactor put admission,
   // memory-store read integrity) compare digests instead of re-hashing —

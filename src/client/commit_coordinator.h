@@ -1,4 +1,4 @@
-// Layer 4 of the staged write engine: everything that talks to the
+// Layer 3 of the staged write engine: everything that talks to the
 // metadata manager on behalf of one write session.
 //
 // Owns the eager stripe reservation and its incremental growth (§IV.A),

@@ -11,10 +11,8 @@
 // pay off. Implementations model time on the sim clock (sim/LinkModel), so
 // the same functional code path reproduces paper-figure timing.
 //
-// Synchronous callers have two options:
-//   - the non-virtual convenience wrappers below (Submit + Wait per call);
-//   - the SyncBenefactorAccess adapter (client/benefactor_access.h), which
-//     presents this engine through the legacy BenefactorAccess interface.
+// Synchronous callers use the non-virtual convenience wrappers below
+// (Submit + Wait per call).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,7 @@
 #include "client/write_session.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 namespace stdchk {
@@ -38,9 +39,8 @@ WriteSession::WriteSession(MetadataManager* manager, Transport* transport,
     : options_(ResolveOptions(manager, name, std::move(options))),
       planner_(options_.chunker, options_.hash_workers, &stats_,
                options_.stamp_chunk_digests),
-      placement_(std::make_unique<RoundRobinPlacement>()),
       coordinator_(manager, transport, std::move(name), options_, &stats_),
-      uploader_(transport, placement_.get(), &coordinator_, options_, &stats_) {}
+      uploader_(transport, &coordinator_, options_, &stats_) {}
 
 WriteSession::~WriteSession() {
   if (!closed_ && !aborted_) Abort();

@@ -3,8 +3,8 @@
 // WriteSession is a thin facade over the staged write engine:
 //
 //   ChunkPlanner       buffering + chunk-boundary decisions (any Chunker)
-//   PlacementPolicy    which stripe members receive each chunk's replicas
-//   ChunkUploader      per-benefactor queues, batched multi-chunk PUTs
+//   ChunkUploader      round-robin placement over the stripe, per-benefactor
+//                      queues, batched multi-chunk PUTs, erasure encoding
 //   CommitCoordinator  reservation growth, dedup queries, atomic commit,
 //                      stash-for-recovery when the manager is down
 //
@@ -17,14 +17,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "client/transport.h"
 #include "client/chunk_planner.h"
 #include "client/chunk_uploader.h"
 #include "client/client_options.h"
 #include "client/commit_coordinator.h"
-#include "client/placement.h"
 #include "client/write_stats.h"
 #include "common/status.h"
 #include "manager/metadata_manager.h"
@@ -74,7 +72,6 @@ class WriteSession {
   WriteStats stats_;
 
   ChunkPlanner planner_;
-  std::unique_ptr<PlacementPolicy> placement_;
   CommitCoordinator coordinator_;
   ChunkUploader uploader_;
 

@@ -1,6 +1,7 @@
-// Round-robin striping discipline shared by the functional client's
-// placement policy and the perf write-pipeline models (paper §IV.A: chunks
-// are "striped across benefactor nodes" in round-robin order).
+// Round-robin striping discipline shared by the functional client's upload
+// drain (client/chunk_uploader) and the perf write-pipeline models (paper
+// §IV.A: chunks are "striped across benefactor nodes" in round-robin
+// order).
 #pragma once
 
 #include <cstddef>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/buffer.h"
 #include "common/hash_pool.h"
 #include "erasure/gf256.h"
 
@@ -79,23 +78,6 @@ Result<ReedSolomon> ReedSolomon::Create(int data_shards, int parity_shards) {
 }
 
 Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
-    const std::vector<Bytes>& data_shards) const {
-  if (static_cast<int>(data_shards.size()) != k_) {
-    return InvalidArgumentError("expected exactly k data shards");
-  }
-  const std::size_t shard_size = data_shards[0].size();
-  std::vector<ByteSpan> views;
-  views.reserve(data_shards.size());
-  for (const Bytes& shard : data_shards) {
-    if (shard.size() != shard_size) {
-      return InvalidArgumentError("data shards must have equal size");
-    }
-    views.emplace_back(shard.data(), shard.size());
-  }
-  return EncodeParity(views, shard_size);
-}
-
-Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
     const std::vector<ByteSpan>& data_shards, std::size_t shard_size,
     HashPool* pool, int max_workers) const {
   if (static_cast<int>(data_shards.size()) != k_) {
@@ -126,35 +108,6 @@ Result<std::vector<Bytes>> ReedSolomon::EncodeParity(
     for (int i = 0; i < m_; ++i) encode_row(static_cast<std::size_t>(i));
   }
   return parity;
-}
-
-std::vector<Bytes> ReedSolomon::EncodeBlock(ByteSpan data) const {
-  const std::size_t shard_size =
-      (data.size() + static_cast<std::size_t>(k_) - 1) /
-      static_cast<std::size_t>(k_);
-  // Parity encodes straight from views of `data`; the padded data-shard
-  // copies below exist only because this convenience returns owned shards.
-  std::vector<ByteSpan> views;
-  views.reserve(static_cast<std::size_t>(k_));
-  for (int i = 0; i < k_; ++i) {
-    std::size_t offset = static_cast<std::size_t>(i) * shard_size;
-    std::size_t n =
-        offset < data.size() ? std::min(shard_size, data.size() - offset) : 0;
-    views.emplace_back(data.data() + offset, n);
-  }
-  auto parity = EncodeParity(views, shard_size);
-
-  std::vector<Bytes> shards;
-  shards.reserve(static_cast<std::size_t>(k_ + m_));
-  for (int i = 0; i < k_; ++i) {
-    Bytes shard(shard_size, 0);
-    ByteSpan view = views[static_cast<std::size_t>(i)];
-    std::copy_n(view.data(), view.size(), shard.data());
-    copy_stats::RecordCopy(view.size());
-    shards.push_back(std::move(shard));
-  }
-  for (Bytes& p : parity.value()) shards.push_back(std::move(p));
-  return shards;
 }
 
 Status ReedSolomon::RecoverShards(
@@ -265,74 +218,6 @@ Status ReedSolomon::RecoverShards(
     }
   }
   return OkStatus();
-}
-
-Status ReedSolomon::Reconstruct(
-    std::vector<std::optional<Bytes>>& shards) const {
-  if (static_cast<int>(shards.size()) != k_ + m_) {
-    return InvalidArgumentError("expected k+m shard slots");
-  }
-  std::vector<int> present;
-  std::size_t shard_size = 0;
-  for (int i = 0; i < k_ + m_; ++i) {
-    if (shards[static_cast<std::size_t>(i)].has_value()) {
-      present.push_back(i);
-      shard_size = shards[static_cast<std::size_t>(i)]->size();
-    }
-  }
-  if (static_cast<int>(present.size()) < k_) {
-    return DataLossError("only " + std::to_string(present.size()) +
-                         " of the required " + std::to_string(k_) +
-                         " shards survive");
-  }
-  std::vector<int> missing;
-  for (int i = 0; i < k_ + m_; ++i) {
-    if (!shards[static_cast<std::size_t>(i)].has_value()) {
-      missing.push_back(i);
-    } else if (shards[static_cast<std::size_t>(i)]->size() != shard_size) {
-      return InvalidArgumentError("surviving shards differ in size");
-    }
-  }
-  if (missing.empty()) return OkStatus();
-
-  std::vector<std::optional<ByteSpan>> views;
-  views.reserve(shards.size());
-  for (const auto& shard : shards) {
-    if (shard.has_value()) {
-      views.emplace_back(ByteSpan(*shard));
-    } else {
-      views.emplace_back(std::nullopt);
-    }
-  }
-  std::vector<Bytes> recovered;
-  std::vector<MutableByteSpan> outs;
-  recovered.reserve(missing.size());
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    recovered.emplace_back(shard_size, 0);
-    outs.emplace_back(recovered.back());
-  }
-  STDCHK_RETURN_IF_ERROR(RecoverShards(views, shard_size, missing, outs));
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    shards[static_cast<std::size_t>(missing[i])] = std::move(recovered[i]);
-  }
-  return OkStatus();
-}
-
-Result<Bytes> ReedSolomon::DecodeBlock(std::vector<std::optional<Bytes>> shards,
-                                       std::size_t data_size) const {
-  STDCHK_RETURN_IF_ERROR(Reconstruct(shards));
-  Bytes out;
-  out.reserve(data_size);
-  for (int i = 0; i < k_ && out.size() < data_size; ++i) {
-    const Bytes& shard = *shards[static_cast<std::size_t>(i)];
-    std::size_t n = std::min(shard.size(), data_size - out.size());
-    out.insert(out.end(), shard.begin(),
-               shard.begin() + static_cast<std::ptrdiff_t>(n));
-  }
-  if (out.size() != data_size) {
-    return InvalidArgumentError("data_size exceeds encoded payload");
-  }
-  return out;
 }
 
 }  // namespace stdchk

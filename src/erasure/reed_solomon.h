@@ -8,12 +8,12 @@
 // traffic; with the SIMD GF(256) kernels that tradeoff is measured, not
 // asserted.
 //
-// The span-based entry points (EncodeParity over ByteSpans, RecoverShards)
-// are the data-path API: callers encode straight out of BufferSlice views
-// and decode straight into caller buffers, with no staging copies. Views
-// shorter than the nominal shard size are treated as zero-padded to it —
-// the stored tail shard of a block whose size is not a multiple of k —
-// so the virtual padding never materializes either.
+// One encode entry point (EncodeParity) and one decode entry point
+// (RecoverShards), both over spans: callers encode straight out of
+// BufferSlice views and decode straight into caller buffers, with no
+// staging copies. Views shorter than the nominal shard size are treated as
+// zero-padded to it — the stored tail shard of a block whose size is not a
+// multiple of k — so the virtual padding never materializes either.
 #pragma once
 
 #include <optional>
@@ -35,25 +35,13 @@ class ReedSolomon {
   int parity_shards() const { return m_; }
   int total_shards() const { return k_ + m_; }
 
-  // Splits `data` into k equal shards (zero-padded) and appends m parity
-  // shards. Returns k+m shards, each of size ceil(data.size()/k). The k
-  // padded data-shard copies are this call's contract (it returns them) and
-  // are accounted in copy_stats; data-path callers use the span overload of
-  // EncodeParity instead and keep their shards as views.
-  std::vector<Bytes> EncodeBlock(ByteSpan data) const;
-
-  // Computes parity for pre-split, equal-length data shards.
-  Result<std::vector<Bytes>> EncodeParity(
-      const std::vector<Bytes>& data_shards) const;
-
-  // Span-based parity: encodes in place from k data-shard views, each at
-  // most `shard_size` bytes (shorter views are virtually zero-padded — no
-  // copy, the missing tail contributes nothing). Returns m parity shards of
-  // exactly `shard_size` bytes. When `pool` is non-null the m parity rows
-  // fan out across it (bounded by `max_workers`, caller participating);
-  // each row writes only its own output, so the result is byte-identical
-  // for every worker count — the same determinism rule as the naming
-  // fan-out.
+  // Computes parity from k data-shard views, each at most `shard_size`
+  // bytes (shorter views are virtually zero-padded — no copy, the missing
+  // tail contributes nothing). Returns m parity shards of exactly
+  // `shard_size` bytes. When `pool` is non-null the m parity rows fan out
+  // across it (bounded by `max_workers`, caller participating); each row
+  // writes only its own output, so the result is byte-identical for every
+  // worker count — the same determinism rule as the naming fan-out.
   Result<std::vector<Bytes>> EncodeParity(
       const std::vector<ByteSpan>& data_shards, std::size_t shard_size,
       HashPool* pool = nullptr, int max_workers = 1) const;
@@ -70,15 +58,6 @@ class ReedSolomon {
   Status RecoverShards(const std::vector<std::optional<ByteSpan>>& shards,
                        std::size_t shard_size, const std::vector<int>& want,
                        const std::vector<MutableByteSpan>& out) const;
-
-  // Reconstructs all missing shards in place. `shards` has k+m entries;
-  // std::nullopt marks a lost shard. Fails if fewer than k survive.
-  Status Reconstruct(std::vector<std::optional<Bytes>>& shards) const;
-
-  // Convenience: reassembles the original block of `data_size` bytes from
-  // (possibly damaged) shards.
-  Result<Bytes> DecodeBlock(std::vector<std::optional<Bytes>> shards,
-                            std::size_t data_size) const;
 
  private:
   ReedSolomon(int k, int m);

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "chunk/chunk.h"
 #include "common/rng.h"
 #include "erasure/gf256.h"
 
@@ -84,6 +91,67 @@ TEST(Gf256Test, MulAccumMatchesScalarLoop) {
 
 // ---- Reed-Solomon -----------------------------------------------------------
 
+// `data` in the write path's shard layout (chunk/chunk.h): k data shards of
+// ErasureShardLength bytes — the tail ones short or empty, virtually
+// zero-padded by the codec — followed by the m parity shards EncodeParity
+// computes from views of them.
+struct Encoded {
+  std::size_t shard_size = 0;
+  std::vector<Bytes> shards;
+};
+
+Encoded Encode(const ReedSolomon& rs, const Bytes& data) {
+  const int k = rs.data_shards();
+  const auto size = static_cast<std::uint32_t>(data.size());
+  Encoded enc;
+  enc.shard_size = ErasureShardSize(size, k);
+  for (int j = 0; j < k; ++j) {
+    const std::size_t begin =
+        std::min(static_cast<std::size_t>(j) * enc.shard_size, data.size());
+    const std::size_t len = ErasureShardLength(size, k, j);
+    enc.shards.emplace_back(data.begin() + static_cast<std::ptrdiff_t>(begin),
+                            data.begin() +
+                                static_cast<std::ptrdiff_t>(begin + len));
+  }
+  std::vector<ByteSpan> views(enc.shards.begin(), enc.shards.end());
+  auto parity = rs.EncodeParity(views, enc.shard_size);
+  EXPECT_TRUE(parity.ok()) << parity.status();
+  if (parity.ok()) {
+    for (Bytes& p : parity.value()) enc.shards.push_back(std::move(p));
+  }
+  return enc;
+}
+
+// Loses the shards in `lost` and recovers all of them at full shard width
+// through RecoverShards. Each recovered shard must equal the original
+// zero-padded to the shard size (as the codec sees it), and the data
+// shards, cut back to their stored lengths, must reassemble `data`.
+void ExpectRecovers(const ReedSolomon& rs, const Encoded& enc,
+                    const std::vector<int>& lost, const Bytes& data) {
+  std::vector<std::optional<ByteSpan>> have(enc.shards.begin(),
+                                            enc.shards.end());
+  for (int i : lost) have[static_cast<std::size_t>(i)] = std::nullopt;
+  std::vector<Bytes> recovered(lost.size(), Bytes(enc.shard_size));
+  std::vector<MutableByteSpan> outs(recovered.begin(), recovered.end());
+  ASSERT_TRUE(rs.RecoverShards(have, enc.shard_size, lost, outs).ok());
+
+  std::vector<Bytes> shards = enc.shards;
+  for (std::size_t w = 0; w < lost.size(); ++w) {
+    Bytes& original = shards[static_cast<std::size_t>(lost[w])];
+    Bytes padded = original;
+    padded.resize(enc.shard_size, 0);
+    EXPECT_EQ(recovered[w], padded) << "shard " << lost[w];
+    recovered[w].resize(original.size());
+    original = std::move(recovered[w]);
+  }
+  Bytes block;
+  for (int j = 0; j < rs.data_shards(); ++j) {
+    const Bytes& shard = shards[static_cast<std::size_t>(j)];
+    block.insert(block.end(), shard.begin(), shard.end());
+  }
+  EXPECT_EQ(block, data);
+}
+
 struct RsCase {
   int k;
   int m;
@@ -98,19 +166,19 @@ TEST_P(ReedSolomonTest, SurvivesEveryLossPatternUpToM) {
 
   Rng rng(static_cast<std::uint64_t>(k * 100 + m));
   Bytes data = rng.RandomBytes(static_cast<std::size_t>(k) * 257 + 13);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  ASSERT_EQ(shards.size(), static_cast<std::size_t>(k + m));
+  Encoded enc = Encode(*rs, data);
+  ASSERT_EQ(enc.shards.size(), static_cast<std::size_t>(k + m));
 
-  // Knock out m shards at rotating positions; always recoverable.
-  for (int start = 0; start < k + m; ++start) {
-    std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
-    for (int loss = 0; loss < m; ++loss) {
-      damaged[static_cast<std::size_t>((start + loss * 2) % (k + m))] =
-          std::nullopt;
+  // Every set of 1..m lost shards, data and parity alike.
+  for (std::uint32_t mask = 1; mask < (1u << (k + m)); ++mask) {
+    if (std::popcount(mask) > m) continue;
+    std::vector<int> lost;
+    for (int i = 0; i < k + m; ++i) {
+      if (mask & (1u << i)) lost.push_back(i);
     }
-    auto decoded = rs->DecodeBlock(damaged, data.size());
-    ASSERT_TRUE(decoded.ok()) << "start=" << start;
-    EXPECT_EQ(decoded.value(), data);
+    SCOPED_TRACE("loss mask " + std::to_string(mask));
+    ExpectRecovers(*rs, enc, lost, data);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -120,18 +188,12 @@ TEST_P(ReedSolomonTest, ReconstructRestoresParityToo) {
   ASSERT_TRUE(rs.ok());
   Rng rng(static_cast<std::uint64_t>(k * 7 + m));
   Bytes data = rng.RandomBytes(static_cast<std::size_t>(k) * 64);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
+  Encoded enc = Encode(*rs, data);
 
-  std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
   // Lose the last parity shard, plus a data shard when m allows two losses.
-  damaged[static_cast<std::size_t>(k + m - 1)] = std::nullopt;
-  if (m >= 2) damaged[0] = std::nullopt;
-
-  ASSERT_TRUE(rs->Reconstruct(damaged).ok());
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    ASSERT_TRUE(damaged[i].has_value());
-    EXPECT_EQ(*damaged[i], shards[i]) << "shard " << i;
-  }
+  std::vector<int> lost{k + m - 1};
+  if (m >= 2) lost.insert(lost.begin(), 0);
+  ExpectRecovers(*rs, enc, lost, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,23 +209,36 @@ TEST(ReedSolomonTest, FailsBeyondMLosses) {
   auto rs = ReedSolomon::Create(4, 2);
   ASSERT_TRUE(rs.ok());
   Rng rng(9);
-  Bytes data = rng.RandomBytes(4096);
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
-  damaged[0] = damaged[1] = damaged[2] = std::nullopt;  // 3 > m = 2
-  EXPECT_EQ(rs->Reconstruct(damaged).code(), StatusCode::kDataLoss);
+  Encoded enc = Encode(*rs, rng.RandomBytes(4096));
+  std::vector<std::optional<ByteSpan>> have(enc.shards.begin(),
+                                            enc.shards.end());
+  have[0] = have[1] = have[2] = std::nullopt;  // 3 > m = 2
+  Bytes out(enc.shard_size);
+  EXPECT_EQ(rs->RecoverShards(have, enc.shard_size, {0},
+                              {MutableByteSpan(out)})
+                .code(),
+            StatusCode::kDataLoss);
 }
 
 TEST(ReedSolomonTest, NoLossIsNoOp) {
+  // With nothing lost the data shards reassemble the block as stored, and
+  // asking the intact set for every shard hands back the stored bytes.
   auto rs = ReedSolomon::Create(3, 2);
   ASSERT_TRUE(rs.ok());
   Bytes data = ToBytes("erasure coded checkpoint data");
-  std::vector<Bytes> shards = rs->EncodeBlock(data);
-  std::vector<std::optional<Bytes>> intact(shards.begin(), shards.end());
-  ASSERT_TRUE(rs->Reconstruct(intact).ok());
-  auto decoded = rs->DecodeBlock(intact, data.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), data);
+  Encoded enc = Encode(*rs, data);
+  ExpectRecovers(*rs, enc, {}, data);
+  std::vector<std::optional<ByteSpan>> have(enc.shards.begin(),
+                                            enc.shards.end());
+  std::vector<int> all{0, 1, 2, 3, 4};
+  std::vector<Bytes> out(all.size(), Bytes(enc.shard_size));
+  std::vector<MutableByteSpan> outs(out.begin(), out.end());
+  ASSERT_TRUE(rs->RecoverShards(have, enc.shard_size, all, outs).ok());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    Bytes padded = enc.shards[i];
+    padded.resize(enc.shard_size, 0);
+    EXPECT_EQ(out[i], padded) << "shard " << i;
+  }
 }
 
 TEST(ReedSolomonTest, ValidatesParameters) {
@@ -173,13 +248,27 @@ TEST(ReedSolomonTest, ValidatesParameters) {
   EXPECT_TRUE(ReedSolomon::Create(251, 4).ok());
 }
 
-TEST(ReedSolomonTest, EncodeParityRejectsUnevenShards) {
+TEST(ReedSolomonTest, EncodeParityRejectsWrongShardCount) {
   auto rs = ReedSolomon::Create(2, 1);
   ASSERT_TRUE(rs.ok());
-  std::vector<Bytes> uneven{Bytes(10), Bytes(11)};
-  EXPECT_FALSE(rs->EncodeParity(uneven).ok());
-  std::vector<Bytes> wrong_count{Bytes(10)};
-  EXPECT_FALSE(rs->EncodeParity(wrong_count).ok());
+  Bytes shard(10);
+  std::vector<ByteSpan> one{ByteSpan(shard)};
+  EXPECT_EQ(rs->EncodeParity(one, 10).status().code(),
+            StatusCode::kInvalidArgument);
+  std::vector<ByteSpan> three(3, ByteSpan(shard));
+  EXPECT_EQ(rs->EncodeParity(three, 10).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ReedSolomonTest, EncodeParityRejectsViewLongerThanShardSize) {
+  // Shorter views are virtually zero-padded; a longer one cannot be.
+  auto rs = ReedSolomon::Create(2, 1);
+  ASSERT_TRUE(rs.ok());
+  Bytes a(10), b(11);
+  std::vector<ByteSpan> views{ByteSpan(a), ByteSpan(b)};
+  EXPECT_EQ(rs->EncodeParity(views, 10).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(rs->EncodeParity(views, 11).ok());
 }
 
 TEST(ReedSolomonTest, TinyAndEmptyPayloads) {
@@ -187,15 +276,10 @@ TEST(ReedSolomonTest, TinyAndEmptyPayloads) {
   ASSERT_TRUE(rs.ok());
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
                         std::size_t{4}, std::size_t{5}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
     Rng rng(n + 1);
     Bytes data = rng.RandomBytes(n);
-    std::vector<Bytes> shards = rs->EncodeBlock(data);
-    std::vector<std::optional<Bytes>> damaged(shards.begin(), shards.end());
-    damaged[1] = std::nullopt;
-    damaged[4] = std::nullopt;
-    auto decoded = rs->DecodeBlock(damaged, n);
-    ASSERT_TRUE(decoded.ok()) << n;
-    EXPECT_EQ(decoded.value(), data);
+    ExpectRecovers(*rs, Encode(*rs, data), {1, 4}, data);
   }
 }
 

@@ -6,10 +6,12 @@
 // so a kernel bug cannot hide behind a matching MulAccum.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "chunk/chunk.h"
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "erasure/gf256.h"
@@ -192,6 +194,21 @@ TEST(Gf256SimdTest, EncodeParityIdenticalAcrossImpls) {
   }
 }
 
+// Views of `data` as k data shards in the write path's layout
+// (chunk/chunk.h): ErasureShardSize bytes each, the tail ones short.
+std::vector<ByteSpan> SplitShards(const Bytes& data, int k) {
+  const auto size = static_cast<std::uint32_t>(data.size());
+  const std::size_t shard_size = ErasureShardSize(size, k);
+  std::vector<ByteSpan> views;
+  for (int j = 0; j < k; ++j) {
+    const std::size_t offset =
+        std::min(static_cast<std::size_t>(j) * shard_size, data.size());
+    views.push_back(
+        ByteSpan(data).subspan(offset, ErasureShardLength(size, k, j)));
+  }
+  return views;
+}
+
 TEST(Gf256SimdTest, ReconstructAgreesAcrossImplsAndRoundTrips) {
   ForceGuard guard;
   Rng rng(19);
@@ -199,24 +216,46 @@ TEST(Gf256SimdTest, ReconstructAgreesAcrossImplsAndRoundTrips) {
   ASSERT_TRUE(rs.ok());
   Bytes data(4 * 333 - 100);  // short tail shard
   for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  const std::size_t shard_size =
+      ErasureShardSize(static_cast<std::uint32_t>(data.size()), 4);
+  const std::vector<ByteSpan> views = SplitShards(data, 4);
 
+  std::optional<std::vector<Bytes>> oracle;
   for (Gf256Impl impl : AvailableImpls()) {
     Gf256ForceImpl(impl);
-    std::vector<Bytes> shards = rs.value().EncodeBlock(
-        ByteSpan(data.data(), data.size()));
+    auto parity = rs.value().EncodeParity(views, shard_size);
+    ASSERT_TRUE(parity.ok());
+    if (!oracle.has_value()) {
+      oracle = parity.value();
+    } else {
+      EXPECT_EQ(parity.value(), *oracle) << ImplName(impl);
+    }
+    std::vector<ByteSpan> shards = views;
+    for (const Bytes& p : parity.value()) shards.emplace_back(p);
     ASSERT_EQ(shards.size(), 6u);
 
-    // Knock out any m = 2 shards and rebuild the block.
-    for (std::size_t a = 0; a < shards.size(); ++a) {
-      for (std::size_t b = a + 1; b < shards.size(); ++b) {
-        std::vector<std::optional<Bytes>> damaged(shards.size());
-        for (std::size_t s = 0; s < shards.size(); ++s) {
-          if (s != a && s != b) damaged[s] = shards[s];
+    // Knock out any m = 2 shards and rebuild both at full width: each must
+    // match the original, zero-padded to the shard size.
+    for (int a = 0; a < 6; ++a) {
+      for (int b = a + 1; b < 6; ++b) {
+        std::vector<std::optional<ByteSpan>> damaged(shards.begin(),
+                                                     shards.end());
+        damaged[static_cast<std::size_t>(a)] = std::nullopt;
+        damaged[static_cast<std::size_t>(b)] = std::nullopt;
+        std::vector<Bytes> out(2, Bytes(shard_size));
+        ASSERT_TRUE(rs.value()
+                        .RecoverShards(damaged, shard_size, {a, b},
+                                       {MutableByteSpan(out[0]),
+                                        MutableByteSpan(out[1])})
+                        .ok())
+            << ImplName(impl) << " lost " << a << "," << b;
+        for (int i : {0, 1}) {
+          ByteSpan original = shards[static_cast<std::size_t>(i == 0 ? a : b)];
+          Bytes padded(original.begin(), original.end());
+          padded.resize(shard_size, 0);
+          EXPECT_EQ(out[static_cast<std::size_t>(i)], padded)
+              << ImplName(impl) << " lost " << a << "," << b;
         }
-        auto rebuilt = rs.value().DecodeBlock(damaged, data.size());
-        ASSERT_TRUE(rebuilt.ok()) << ImplName(impl) << " lost " << a << ","
-                                  << b;
-        EXPECT_EQ(rebuilt.value(), data);
       }
     }
   }

@@ -1,11 +1,9 @@
 // The asynchronous transport core: submission/completion semantics, modeled
-// link timing, cancellation, the in-flight watermark, batch ops, and the
-// SyncBenefactorAccess migration adapter.
+// link timing, cancellation, the in-flight watermark and batch ops.
 #include "client/transport.h"
 
 #include <gtest/gtest.h>
 
-#include "client/benefactor_access.h"
 #include "core/local_transport.h"
 #include "manager/virtual_clock.h"
 
@@ -211,79 +209,6 @@ TEST_F(TransportTest, StashAndCopyOps) {
   ASSERT_TRUE(copied.ok());
   EXPECT_TRUE(copied.value().status.ok());
   EXPECT_TRUE(benefactors_[1]->HasChunk(id));
-}
-
-// ---- SyncBenefactorAccess: the legacy-facade migration adapter -------------
-
-TEST_F(TransportTest, SyncAdapterRoundTrips) {
-  SyncBenefactorAccess access(&transport_);
-  Bytes data = Payload("via adapter");
-  ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(access.PutChunk(node(0), id, data).ok());
-  auto got = access.GetChunk(node(0), id);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), data);
-
-  std::vector<ChunkId> ids{id};
-  auto batch = access.GetChunkBatch(node(0), ids);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch.value()[0], data);
-
-  ASSERT_TRUE(access.CopyChunk(id, node(0), node(2)).ok());
-  EXPECT_TRUE(benefactors_[2]->HasChunk(id));
-  // Each sync call fully drains its op: nothing left in flight.
-  EXPECT_EQ(transport_.InFlight(), 0u);
-}
-
-// Minimal legacy implementation: only the pure-virtual surface. The batch
-// and copy defaults must compose it correctly.
-class LoopbackAccess final : public BenefactorAccess {
- public:
-  Status PutChunk(NodeId node, const ChunkId& id, ByteSpan data) override {
-    ++puts;
-    stored[node][id] = Bytes(data.begin(), data.end());
-    return OkStatus();
-  }
-  Result<Bytes> GetChunk(NodeId node, const ChunkId& id) override {
-    ++gets;
-    auto& chunks = stored[node];
-    auto it = chunks.find(id);
-    if (it == chunks.end()) return NotFoundError("no such chunk");
-    return it->second;
-  }
-  Status StashChunkMap(NodeId, const VersionRecord&, int) override {
-    return OkStatus();
-  }
-
-  std::map<NodeId, std::map<ChunkId, Bytes>> stored;
-  int puts = 0;
-  int gets = 0;
-};
-
-TEST(BenefactorAccessDefaults, BatchAndCopyLoopOverSingleOps) {
-  LoopbackAccess access;
-  Bytes d0 = Payload("one"), d1 = Payload("two");
-  ChunkId i0 = ChunkId::For(d0), i1 = ChunkId::For(d1);
-
-  std::vector<ChunkPut> puts{{i0, BufferSlice::Copy(d0)},
-                             {i1, BufferSlice::Copy(d1)}};
-  ASSERT_TRUE(access.PutChunkBatch(7, puts).ok());
-  EXPECT_EQ(access.puts, 2);  // looped
-
-  std::vector<ChunkId> ids{i0, i1};
-  auto got = access.GetChunkBatch(7, ids);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(access.gets, 2);  // looped
-  EXPECT_EQ(got.value()[0], d0);
-  EXPECT_EQ(got.value()[1], d1);
-
-  // Default copy bounces through the caller: one get + one put.
-  ASSERT_TRUE(access.CopyChunk(i0, 7, 9).ok());
-  EXPECT_EQ(access.stored[9][i0], d0);
-
-  // All-or-nothing on a missing chunk.
-  std::vector<ChunkId> with_missing{i0, ChunkId::For(Payload("missing"))};
-  EXPECT_FALSE(access.GetChunkBatch(7, with_missing).ok());
 }
 
 }  // namespace

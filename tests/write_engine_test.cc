@@ -1,6 +1,7 @@
 // Unit coverage for the staged write engine's layers: ChunkPlanner sealing,
-// RoundRobinPlacement walks, the batched multi-chunk PUT path, and the
-// manager's reservation-stripe repair.
+// the batched multi-chunk PUT path, and the manager's reservation-stripe
+// repair. The uploader's round-robin walks are pinned in
+// upload_drain_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,7 +10,6 @@
 #include "benefactor/benefactor.h"
 #include "chunk/chunk_store.h"
 #include "client/chunk_planner.h"
-#include "client/placement.h"
 #include "common/rng.h"
 #include "core/local_transport.h"
 #include "manager/metadata_manager.h"
@@ -87,25 +87,6 @@ TEST(ChunkPlannerTest, BoundariesInvariantToWriteGranularity) {
     for (auto& c : streamed.Drain(/*final=*/true)) ids.push_back(c.id);
     EXPECT_EQ(ids, reference) << "piece=" << piece;
   }
-}
-
-// ---- RoundRobinPlacement ----------------------------------------------------
-
-TEST(RoundRobinPlacementTest, WalksStripeFromAdvancingCursor) {
-  RoundRobinPlacement placement;
-  std::vector<NodeId> stripe{10, 11, 12};
-
-  auto walk1 = placement.PlanChunk(stripe);
-  ASSERT_GE(walk1.size(), stripe.size());
-  EXPECT_EQ(walk1[0], 10u);
-  EXPECT_EQ(walk1[1], 11u);
-  EXPECT_EQ(walk1[2], 12u);
-  placement.OnChunkPlaced(stripe);
-
-  auto walk2 = placement.PlanChunk(stripe);
-  EXPECT_EQ(walk2[0], 11u);  // cursor advanced
-  // The walk wraps so every member appears more than once (failover slack).
-  EXPECT_EQ(walk2.size(), stripe.size() * 2 + 4);
 }
 
 // ---- Batched multi-chunk PUT ------------------------------------------------
