@@ -26,6 +26,7 @@ Status Benefactor::JoinPool(MetadataManager& manager) {
 void Benefactor::Wipe() {
   online_ = false;
   (void)store_->Wipe();
+  MutexLock lock(mu_);
   stashed_.clear();
 }
 
@@ -46,6 +47,7 @@ Status Benefactor::PutChunk(const ChunkId& id, BufferSlice data) {
     return DataLossError("chunk content does not match its address " +
                          id.ToHex());
   }
+  MutexLock lock(mu_);
   if (!store_->Contains(id) && store_->BytesUsed() + data.size() > capacity_bytes_) {
     return ResourceExhaustedError("benefactor " + host_ + " is full");
   }
@@ -76,10 +78,7 @@ Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
         computed[i] = ChunkId::For(puts[unstamped[i]].data.span());
       });
   std::size_t next_unstamped = 0;
-  std::uint64_t new_bytes = 0;
-  std::set<ChunkId> counted;
-  for (std::size_t i = 0; i < puts.size(); ++i) {
-    const ChunkPut& put = puts[i];
+  for (const ChunkPut& put : puts) {
     ChunkId actual;
     if (put.data.stamped_digest() != nullptr) {
       assert(Sha1(put.data.span()) == *put.data.stamped_digest());
@@ -91,6 +90,13 @@ Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
       return DataLossError("chunk content does not match its address " +
                            put.id.ToHex());
     }
+  }
+  // Space check and store put are one step per donor: two batches that
+  // each fit, but not together, cannot both pass the check.
+  MutexLock lock(mu_);
+  std::uint64_t new_bytes = 0;
+  std::set<ChunkId> counted;
+  for (const ChunkPut& put : puts) {
     if (!store_->Contains(put.id) && counted.insert(put.id).second) {
       new_bytes += put.data.size();
     }
@@ -138,8 +144,14 @@ bool Benefactor::HasChunk(const ChunkId& id) const {
 Status Benefactor::StashChunkMap(const VersionRecord& record,
                                  int stripe_width) {
   STDCHK_RETURN_IF_ERROR(CheckOnline());
+  MutexLock lock(mu_);
   stashed_[record.name.ToString()] = Stashed{record, stripe_width};
   return OkStatus();
+}
+
+std::size_t Benefactor::stashed_count() const {
+  MutexLock lock(mu_);
+  return stashed_.size();
 }
 
 Status Benefactor::SendHeartbeat(MetadataManager& manager) {
@@ -163,18 +175,26 @@ Result<std::size_t> Benefactor::RunGc(MetadataManager& manager) {
 
 Status Benefactor::OfferStashedVersions(MetadataManager& manager) {
   STDCHK_RETURN_IF_ERROR(CheckOnline());
-  for (auto it = stashed_.begin(); it != stashed_.end();) {
-    Status status = manager.OfferRecoveredVersion(id_, it->second.record,
-                                                  it->second.stripe_width);
+  // Offer a copy with mu_ released: the manager's locks rank below it, and
+  // clients may keep stashing meanwhile.
+  std::map<std::string, Stashed> offers;
+  {
+    MutexLock lock(mu_);
+    offers = stashed_;
+  }
+  std::vector<std::string> committed;
+  for (const auto& [name, stash] : offers) {
+    Status status = manager.OfferRecoveredVersion(id_, stash.record,
+                                                  stash.stripe_width);
     // Drop the stash only once the version is actually committed (our offer
     // may be just one of the required two-thirds endorsements, and the
     // manager could crash again before quorum).
-    if (status.ok() && manager.GetVersion(it->second.record.name).ok()) {
-      it = stashed_.erase(it);
-    } else {
-      ++it;
+    if (status.ok() && manager.GetVersion(stash.record.name).ok()) {
+      committed.push_back(name);
     }
   }
+  MutexLock lock(mu_);
+  for (const std::string& name : committed) stashed_.erase(name);
   return OkStatus();
 }
 

@@ -6,11 +6,13 @@
 // manager's live set. They additionally stash uncommitted chunk maps to
 // support the manager-recovery protocol.
 //
-// Threading: the data path (PutChunk/GetChunk/HasChunk) is safe for
-// concurrent use — the chunk store locks internally and the online flag is
-// atomic. Control operations (JoinPool, GC exchange, stash management) are
-// driven from a single background pump (core/StdchkCluster::Tick or
-// core/BackgroundDriver).
+// Threading: the data path (PutChunk/GetChunk/HasChunk) and the stash are
+// safe for concurrent use. Transports call them from many client threads
+// at once, while a single background pump (core/StdchkCluster::Tick or
+// core/BackgroundDriver) runs JoinPool, the GC exchange and stash offers.
+// The chunk store locks internally and the online flag is atomic; mu_
+// makes each admission's capacity check and store put one step, and
+// guards the stash. Content-address verification runs outside mu_.
 #pragma once
 
 #include <atomic>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "chunk/chunk_store.h"
+#include "common/annotated_mutex.h"
 #include "common/status.h"
 #include "manager/metadata_manager.h"
 #include "manager/types.h"
@@ -46,14 +49,14 @@ class Benefactor {
   void Crash() { online_ = false; }
   void Restart() { online_ = true; }
   // Disk scavenged space was wiped (or the disk failed): contents are gone.
-  void Wipe();
+  void Wipe() EXCLUDES(mu_);
 
   // ---- Data path (invoked by clients / replication) -----------------------
   // Verifies that `data` hashes to `id` before storing — content
   // addressability doubles as an integrity check (§IV.C). The slice is
   // handed to the store as-is: a memory-backed donor aliases the sender's
   // buffer, never copies it.
-  Status PutChunk(const ChunkId& id, BufferSlice data);
+  Status PutChunk(const ChunkId& id, BufferSlice data) EXCLUDES(mu_);
   // Borrowed-bytes convenience (tests, tools): copies once, then as above.
   Status PutChunk(const ChunkId& id, ByteSpan data) {
     return PutChunk(id, BufferSlice::Copy(data));
@@ -67,7 +70,7 @@ class Benefactor {
   // become usable replicas or GC-reclaimable orphans.) Unstamped chunks
   // re-hash in parallel on the shared HashPool (see set_verify_workers);
   // the store receives the batch as one PutBatch call.
-  Status PutChunkBatch(std::span<const ChunkPut> puts);
+  Status PutChunkBatch(std::span<const ChunkPut> puts) EXCLUDES(mu_);
 
   // Fan-out for batch-admission re-hashing of unstamped chunks: 0 (default)
   // uses hardware concurrency, N caps it, 1 is the serial path bit for bit.
@@ -102,8 +105,9 @@ class Benefactor {
   // ---- Manager-recovery support -------------------------------------------
   // A client that could not commit (manager down) stashes the final chunk
   // map here; OfferStashedVersions() pushes it once the manager returns.
-  Status StashChunkMap(const VersionRecord& record, int stripe_width);
-  std::size_t stashed_count() const { return stashed_.size(); }
+  Status StashChunkMap(const VersionRecord& record, int stripe_width)
+      EXCLUDES(mu_);
+  std::size_t stashed_count() const EXCLUDES(mu_);
 
   // ---- Background pumps ------------------------------------------------------
   Status SendHeartbeat(MetadataManager& manager);
@@ -112,9 +116,10 @@ class Benefactor {
   // Returns the number of chunks reclaimed.
   Result<std::size_t> RunGc(MetadataManager& manager);
 
-  // Pushes stashed chunk maps to a recovered manager; drops entries the
-  // manager accepted or that have since been committed.
-  Status OfferStashedVersions(MetadataManager& manager);
+  // Pushes stashed chunk maps to a recovered manager; drops entries that
+  // have since been committed. The manager RPCs run with mu_ released (the
+  // manager's locks rank below it).
+  Status OfferStashedVersions(MetadataManager& manager) EXCLUDES(mu_);
 
   // One throttled live-compaction pass over the backing store: rewrites
   // under-utilized disk segments / memory generation backings and hands
@@ -157,7 +162,10 @@ class Benefactor {
     VersionRecord record;
     int stripe_width = 0;
   };
-  std::map<std::string, Stashed> stashed_;  // keyed by version name
+  // Admission (capacity check + store put) and the stash. Never held into
+  // a manager RPC or another benefactor's call.
+  mutable Mutex mu_{LockRank::kBenefactor, 0, "benefactor"};
+  std::map<std::string, Stashed> stashed_ GUARDED_BY(mu_);  // by version name
 };
 
 }  // namespace stdchk

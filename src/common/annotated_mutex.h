@@ -122,14 +122,16 @@ namespace stdchk {
 //   rank  lock                         may be held while taking...
 //   ----  ---------------------------  -----------------------------------
 //    10   BackgroundDriver::mu_        (nothing — released around Tick())
-//    30   ReadSession::mu_             transport mu_ (pump/harvest RPCs)
+//    30   ReadSession::mu_             transport mu_, then the GETs' store
+//                                      locks (pump/harvest RPCs)
 //    40   MetadataManager::mu_         registry mu_, catalog shard locks
 //    50   BenefactorRegistry::mu_      (leaf of the metadata plane)
 //    60   FileCatalog folder shards    chunk shard locks (one at a time;
 //                                      Export/Import: all, ascending seq)
 //    70   FileCatalog chunk shards     (leaf of the catalog)
-//    80   LocalTransport::mu_          chunk store mu_, hash pool mu_
-//                                      (eager execution runs under it)
+//    80   LocalTransport::mu_          (leaf — bookkeeping only; the
+//                                      benefactor call runs without it)
+//    85   Benefactor::mu_              chunk store mu_ (admission + put)
 //    90   ChunkStore mu_ (mem + disk)  hash pool mu_ (verify fan-out)
 //   100   HashPool::mu_                (leaf)
 //   110   Logger::mu_                  (leaf — logging is legal anywhere)
@@ -145,6 +147,7 @@ enum class LockRank : std::uint32_t {
   kCatalogFolder = 60,
   kCatalogChunk = 70,
   kTransport = 80,
+  kBenefactor = 85,
   kChunkStore = 90,
   kHashPool = 100,
   kLogger = 110,

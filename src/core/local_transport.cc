@@ -6,8 +6,9 @@
 namespace stdchk {
 
 void LocalTransport::AddEndpoint(Benefactor* benefactor) {
+  NodeId node = benefactor->id();
   MutexLock lock(mu_);
-  endpoints_[benefactor->id()] = benefactor;
+  endpoints_[node] = benefactor;
 }
 
 void LocalTransport::SetUnreachable(NodeId node, bool unreachable) {
@@ -86,126 +87,106 @@ const sim::LinkModel& LocalTransport::LinkLocked(NodeId node) const {
   return it != links_.end() ? it->second : default_link_;
 }
 
-std::uint64_t LocalTransport::ExecuteLocked(const ChunkOp& op,
-                                            OpCompletion& out) {
+Result<Benefactor*> LocalTransport::Route(NodeId node) {
+  MutexLock lock(mu_);
+  return RouteLocked(node);
+}
+
+LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
+                                                OpCompletion& out) {
+  Result<Benefactor*> routed = Route(op.node);
+  if (!routed.ok()) {
+    out.status = routed.status();
+    return {};
+  }
+  Benefactor* node = routed.value();
   switch (op.type) {
-    case ChunkOpType::kPutChunk: {
-      Result<Benefactor*> routed = RouteLocked(op.node);
-      if (!routed.ok()) {
-        out.status = routed.status();
-        return 0;
-      }
+    case ChunkOpType::kPutChunk:
       // The bytes hit the wire whether or not the node admits them.
-      bytes_moved_ += op.data.size();
-      out.status = routed.value()->PutChunk(op.id, op.data);
-      return op.data.size();
-    }
+      out.status = node->PutChunk(op.id, op.data);
+      return {op.data.size(), op.data.size()};
     case ChunkOpType::kPutChunkBatch: {
-      Result<Benefactor*> routed = RouteLocked(op.node);
-      if (!routed.ok()) {
-        out.status = routed.status();
-        return 0;
-      }
       std::uint64_t total = 0;
       for (const ChunkPut& put : op.puts) total += put.data.size();
-      bytes_moved_ += total;
-      out.status = routed.value()->PutChunkBatch(op.puts);
-      return total;
+      out.status = node->PutChunkBatch(op.puts);
+      return {total, total};
     }
     case ChunkOpType::kGetChunk: {
-      Result<Benefactor*> routed = RouteLocked(op.node);
-      if (!routed.ok()) {
-        out.status = routed.status();
-        return 0;
-      }
-      Result<BufferSlice> got = routed.value()->GetChunk(op.id);
+      Result<BufferSlice> got = node->GetChunk(op.id);
       if (!got.ok()) {
         out.status = got.status();
-        return 0;
+        return {};
       }
       // The completion aliases the benefactor's stored buffer — the modeled
       // wire charges the bytes, the process never copies them.
       out.data = std::move(got).value();
-      bytes_moved_ += out.data.size();
-      return out.data.size();
+      return {out.data.size(), out.data.size()};
     }
     case ChunkOpType::kGetChunkBatch: {
-      Result<Benefactor*> routed = RouteLocked(op.node);
-      if (!routed.ok()) {
-        out.status = routed.status();
-        return 0;
-      }
-      Result<std::vector<BufferSlice>> got =
-          routed.value()->GetChunkBatch(op.ids);
+      Result<std::vector<BufferSlice>> got = node->GetChunkBatch(op.ids);
       if (!got.ok()) {
         out.status = got.status();
-        return 0;
+        return {};
       }
       out.batch = std::move(got).value();
       std::uint64_t total = 0;
       for (const BufferSlice& b : out.batch) total += b.size();
-      bytes_moved_ += total;
-      return total;
+      return {total, total};
     }
-    case ChunkOpType::kStashChunkMap: {
-      Result<Benefactor*> routed = RouteLocked(op.node);
-      if (!routed.ok()) {
-        out.status = routed.status();
-        return 0;
-      }
-      out.status = routed.value()->StashChunkMap(op.record, op.stripe_width);
-      return 0;
-    }
+    case ChunkOpType::kStashChunkMap:
+      out.status = node->StashChunkMap(op.record, op.stripe_width);
+      return {};
     case ChunkOpType::kCopyChunk: {
-      Result<Benefactor*> src = RouteLocked(op.node);
-      if (!src.ok()) {
-        out.status = src.status();
-        return 0;
-      }
-      Result<BufferSlice> got = src.value()->GetChunk(op.id);
+      Result<BufferSlice> got = node->GetChunk(op.id);
       if (!got.ok()) {
         out.status = got.status();
-        return 0;
+        return {};
       }
       std::uint64_t size = got.value().size();
-      bytes_moved_ += size;
-      Result<Benefactor*> dst = RouteLocked(op.target);
+      // The destination routes only once the source read succeeded, so a
+      // failed read draws no loss sample for it.
+      Result<Benefactor*> dst = Route(op.target);
       if (!dst.ok()) {
         out.status = dst.status();
-        return size;
+        return {size, size};
       }
-      bytes_moved_ += size;
       // In-process replication shares the source node's buffer outright.
       out.status = dst.value()->PutChunk(op.id, std::move(got).value());
-      return size;
+      return {size, 2 * size};
     }
   }
   out.status = InternalError("unknown chunk op type");
-  return 0;
+  return {};
 }
 
 OpHandle LocalTransport::Submit(ChunkOp op) {
-  MutexLock lock(mu_);
-  OpHandle handle = next_handle_++;
   Pending p;
-  p.completion.handle = handle;
   p.completion.type = op.type;
   p.completion.node = op.node;
-  // Eager execution keeps the run deterministic; delivery time follows the
-  // modeled links below.
-  std::uint64_t bytes = ExecuteLocked(op, p.completion);
+  // Only routing takes mu_ before the benefactor call, in submission
+  // order, so a single caller's RPC count and loss draws follow its op
+  // order. The call itself runs on this thread with mu_ released:
+  // concurrent clients' ops overlap instead of queueing behind one
+  // another's verify and fsync.
+  Traffic traffic = Execute(op, p.completion);
+
+  MutexLock lock(mu_);
+  OpHandle handle = next_handle_++;
+  p.completion.handle = handle;
+  bytes_moved_ += traffic.moved;
+  // Execution is eager; delivery time follows the modeled links.
   if (op.type == ChunkOpType::kCopyChunk) {
     // A copy occupies the source link, then the destination link.
     SimTime leg1 = std::max(now_, link_busy_until_[op.node]) +
-                   LinkLocked(op.node).OpDuration(bytes);
+                   LinkLocked(op.node).OpDuration(traffic.wire);
     link_busy_until_[op.node] = leg1;
     SimTime leg2 = std::max(leg1, link_busy_until_[op.target]) +
-                   LinkLocked(op.target).OpDuration(bytes);
+                   LinkLocked(op.target).OpDuration(traffic.wire);
     link_busy_until_[op.target] = leg2;
     p.ready_at = leg2;
   } else {
     SimTime done = std::max(now_, link_busy_until_[op.node]) +
-                   LinkLocked(op.node).OpDuration(bytes);
+                   LinkLocked(op.node).OpDuration(traffic.wire);
     link_busy_until_[op.node] = done;
     p.ready_at = done;
   }

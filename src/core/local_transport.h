@@ -3,20 +3,27 @@
 // injection and modeled link timing.
 //
 // This is the functional stand-in for the desktop grid's LAN. Execution is
-// eager — the benefactor side effect happens at Submit(), which keeps runs
-// deterministic — but completion *delivery* follows the modeled clock: each
-// node's access link (sim/LinkModel) serializes its own ops and charges
-// latency + bytes/bandwidth, while ops on distinct nodes overlap. With the
-// default zero-cost links the clock never moves and the transport behaves
-// like the old synchronous one; with per-node models configured from
+// eager — the benefactor side effect happens at Submit(), on the
+// submitting thread, which keeps runs deterministic — but completion
+// *delivery* follows the modeled clock: each node's access link
+// (sim/LinkModel) serializes its own ops and charges latency +
+// bytes/bandwidth, while ops on distinct nodes overlap. With the default
+// zero-cost links the clock never moves and the transport behaves like the
+// old synchronous one; with per-node models configured from
 // perf/PlatformModel, pipelined callers finish in a fraction of the
 // serial caller's modeled time — the paper-figure benches measure exactly
 // that.
 //
-// Thread-safety: all operations are safe for concurrent use (one mutex
-// guards the engine). Callers only ever wait on their own handles, so
-// concurrent sessions sharing one transport cannot steal each other's
-// completions.
+// Thread-safety: all operations are safe for concurrent use. The mutex
+// guards only the transport's own bookkeeping: handle allocation, routing
+// (RPC count, reachability, the loss-rate draw), traffic counters, the
+// link clock and the pending table. The benefactor call runs outside it,
+// so concurrent clients' verifies, appends + fsyncs and restart reads
+// overlap; each benefactor serializes only its own admission. A
+// single-threaded caller sees the same op order, fault draws and modeled
+// delivery order as under a fully serial transport. Callers only ever
+// wait on their own handles, so concurrent sessions sharing one transport
+// cannot steal each other's completions.
 #pragma once
 
 #include <cstdint>
@@ -77,19 +84,27 @@ class LocalTransport final : public Transport {
     SimTime ready_at = 0;  // modeled delivery time
   };
 
+  // Wire bytes of one executed op: `wire` occupies the modeled link(s),
+  // `moved` is charged to bytes_moved() (a copy crosses the wire twice).
+  struct Traffic {
+    std::uint64_t wire = 0;
+    std::uint64_t moved = 0;
+  };
+
+  // Counts the RPC and applies the link faults: unknown node, cut link,
+  // then the loss-rate draw.
   Result<Benefactor*> RouteLocked(NodeId node) REQUIRES(mu_);
+  Result<Benefactor*> Route(NodeId node) EXCLUDES(mu_);
   const sim::LinkModel& LinkLocked(NodeId node) const REQUIRES(mu_);
   // Earliest-finishing pending op among `handles` (submission order breaks
   // ties); unknown handles are skipped. `only_ready` restricts the search
   // to ops already finished at the modeled clock. end() if none qualify.
   std::map<OpHandle, Pending>::iterator FindEarliestLocked(
       std::span<const OpHandle> handles, bool only_ready) REQUIRES(mu_);
-  // Executes `op` against the routed benefactor and fills `out.status` /
-  // payload; returns the payload bytes that occupied the wire. The
-  // benefactor side effect runs under mu_ (rank kTransport), nesting into
-  // the chunk-store and hash-pool locks, which rank above it.
-  std::uint64_t ExecuteLocked(const ChunkOp& op, OpCompletion& out)
-      REQUIRES(mu_);
+  // Routes `op`, executes it against the routed benefactor and fills
+  // `out.status` / payload. Only routing takes mu_; the benefactor,
+  // chunk-store and hash-pool locks the call reaches are taken without it.
+  Traffic Execute(const ChunkOp& op, OpCompletion& out) EXCLUDES(mu_);
   Pending TakeLocked(std::map<OpHandle, Pending>::iterator it) REQUIRES(mu_);
 
   mutable Mutex mu_{LockRank::kTransport, 0, "local_transport"};

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <chrono>
+#include <future>
+#include <thread>
+
 #include "common/rng.h"
 #include "manager/virtual_clock.h"
 
@@ -91,6 +97,139 @@ TEST_F(LocalTransportTest, StashRoutedToNode) {
   NodeId node = benefactors_[0]->id();
   ASSERT_TRUE(transport_.StashChunkMap(node, record, 2).ok());
   EXPECT_EQ(benefactors_[0]->stashed_count(), 1u);
+}
+
+// ---- Concurrent clients ----------------------------------------------------
+// The transport lock covers only routing and bookkeeping: benefactor calls
+// from different threads run side by side, and each donor serializes its
+// own admission.
+
+// A memory store whose first PutBatch blocks until the test releases it —
+// a donor stuck in a slow append + fsync.
+class GatedStore final : public ChunkStore {
+ public:
+  GatedStore(std::promise<void>* entered, std::shared_future<void> release)
+      : entered_(entered), release_(std::move(release)) {}
+
+  using ChunkStore::Put;
+  Status Put(const ChunkId& id, BufferSlice data) override {
+    return inner_->Put(id, std::move(data));
+  }
+  Status PutBatch(std::span<const ChunkPut> puts) override {
+    if (!gated_.exchange(true)) {
+      entered_->set_value();
+      release_.wait();
+    }
+    return inner_->PutBatch(puts);
+  }
+  Result<BufferSlice> Get(const ChunkId& id) const override {
+    return inner_->Get(id);
+  }
+  bool Contains(const ChunkId& id) const override {
+    return inner_->Contains(id);
+  }
+  Status Delete(const ChunkId& id) override { return inner_->Delete(id); }
+  std::vector<ChunkId> List() const override { return inner_->List(); }
+  std::uint64_t BytesUsed() const override { return inner_->BytesUsed(); }
+  std::size_t ChunkCount() const override { return inner_->ChunkCount(); }
+
+ private:
+  std::unique_ptr<ChunkStore> inner_ = MakeMemoryChunkStore();
+  std::promise<void>* entered_;
+  std::shared_future<void> release_;
+  std::atomic<bool> gated_{false};
+};
+
+TEST(LocalTransportConcurrencyTest, BlockedPutOnOneDonorDoesNotStallAnother) {
+  using std::chrono::seconds;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::future<void> put_entered = entered.get_future();
+  VirtualClock clock;
+  MetadataManager manager(&clock);
+  LocalTransport transport;
+  Benefactor slow("slow", std::make_unique<GatedStore>(
+                              &entered, release.get_future().share()),
+                  1_GiB);
+  Benefactor fast("fast", MakeMemoryChunkStore(), 1_GiB);
+  ASSERT_TRUE(slow.JoinPool(manager).ok());
+  ASSERT_TRUE(fast.JoinPool(manager).ok());
+  transport.AddEndpoint(&slow);
+  transport.AddEndpoint(&fast);
+
+  Bytes stored = ToBytes("already on the fast donor");
+  ChunkId stored_id = ChunkId::For(stored);
+  ASSERT_TRUE(transport.PutChunk(fast.id(), stored_id, stored).ok());
+
+  Bytes stuck = ToBytes("stuck behind a slow fsync");
+  std::vector<ChunkPut> puts{ChunkPut{ChunkId::For(stuck),
+                                      BufferSlice::Copy(stuck)}};
+  auto put = std::async(std::launch::async, [&] {
+    return transport.PutChunkBatch(slow.id(), puts);
+  });
+  bool put_blocked =
+      put_entered.wait_for(seconds(5)) == std::future_status::ready;
+  auto get = std::async(std::launch::async, [&] {
+    return transport.GetChunk(fast.id(), stored_id);
+  });
+  bool get_done = get.wait_for(seconds(5)) == std::future_status::ready;
+  release.set_value();  // before any assertion, so a failing run still ends
+
+  ASSERT_TRUE(put_blocked) << "the put never reached the slow donor's store";
+  EXPECT_TRUE(get_done)
+      << "a GET to one donor waited for a put blocked on another";
+  Result<BufferSlice> got = get.get();
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_EQ(got.value(), stored);
+  EXPECT_TRUE(put.get().ok());
+  EXPECT_TRUE(slow.HasChunk(ChunkId::For(stuck)));
+}
+
+TEST(LocalTransportConcurrencyTest, RacingBatchesNeverOvercommitADonor) {
+  constexpr std::size_t kChunkBytes = 1024;
+  constexpr std::size_t kChunksPerBatch = 4;
+  constexpr int kIterations = 200;
+  VirtualClock clock;
+  MetadataManager manager(&clock);
+  LocalTransport transport;
+  // Room for one batch and a half: either batch fits, both do not.
+  Benefactor donor("d0", MakeMemoryChunkStore(),
+                   3 * kChunksPerBatch * kChunkBytes / 2);
+  ASSERT_TRUE(donor.JoinPool(manager).ok());
+  transport.AddEndpoint(&donor);
+
+  Rng rng(17);
+  for (int iter = 0; iter < kIterations; ++iter) {
+    std::array<std::vector<ChunkPut>, 2> batches;
+    for (std::vector<ChunkPut>& batch : batches) {
+      for (std::size_t c = 0; c < kChunksPerBatch; ++c) {
+        Bytes data = rng.RandomBytes(kChunkBytes);
+        batch.push_back(ChunkPut{ChunkId::For(data), BufferSlice::Copy(data)});
+      }
+    }
+    std::array<Status, 2> results;
+    std::atomic<int> arrived{0};
+    auto submit = [&](std::size_t b) {
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+      results[b] = transport.PutChunkBatch(donor.id(), batches[b]);
+    };
+    std::thread first(submit, 0);
+    std::thread second(submit, 1);
+    first.join();
+    second.join();
+
+    int admitted = static_cast<int>(results[0].ok()) +
+                   static_cast<int>(results[1].ok());
+    ASSERT_EQ(admitted, 1) << "iteration " << iter;
+    const Status& loser = results[0].ok() ? results[1] : results[0];
+    EXPECT_EQ(loser.code(), StatusCode::kResourceExhausted);
+    ASSERT_LE(donor.BytesUsed(), donor.capacity()) << "iteration " << iter;
+    EXPECT_EQ(donor.ChunkCount(), kChunksPerBatch);
+
+    donor.Wipe();
+    donor.Restart();
+  }
 }
 
 }  // namespace

@@ -184,5 +184,26 @@ TEST(LockRankDeathTest, HoldingChunkShardIntoManagerRpcAborts) {
       "out-of-order acquisition");
 }
 
+TEST(LockRankDeathTest, HoldingBenefactorLockIntoManagerRpcAborts) {
+  // Why Benefactor::OfferStashedVersions copies its stash and releases the
+  // lock before offering it: kBenefactor ranks above every manager lock,
+  // so a manager RPC made while holding it dies on first execution.
+  VirtualClock clock;
+  MetadataManager manager(&clock);
+  BenefactorInfo info;
+  info.host = "d0";
+  info.total_bytes = 1_GiB;
+  info.free_bytes = 1_GiB;
+  NodeId node = manager.RegisterBenefactor(info).value();
+
+  Mutex benefactor(LockRank::kBenefactor, 0, "test_benefactor");
+  EXPECT_DEATH(
+      {
+        MutexLock held(benefactor);
+        (void)manager.Heartbeat(node, 1_GiB);
+      },
+      "out-of-order acquisition");
+}
+
 }  // namespace
 }  // namespace stdchk
