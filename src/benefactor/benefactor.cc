@@ -111,9 +111,12 @@ Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
   return store_->PutBatch(puts);
 }
 
-Result<BufferSlice> Benefactor::GetChunk(const ChunkId& id) const {
+Result<BufferSlice> Benefactor::ReadChunk(const ChunkId& id) const {
   STDCHK_RETURN_IF_ERROR(CheckOnline());
-  STDCHK_ASSIGN_OR_RETURN(BufferSlice data, store_->Get(id));
+  return store_->Get(id);
+}
+
+Status Benefactor::VerifyChunk(const ChunkId& id, const BufferSlice& data) {
   // Memory-store slices still carry the writer's stamp (immutable backing,
   // so the digest is still a constant of the bytes); disk reads come back
   // unstamped and get the full re-hash — exactly where a malicious donor
@@ -122,19 +125,13 @@ Result<BufferSlice> Benefactor::GetChunk(const ChunkId& id) const {
     return DataLossError("stored chunk " + id.ToHex() +
                          " failed integrity verification");
   }
-  return data;
+  return OkStatus();
 }
 
-Result<std::vector<BufferSlice>> Benefactor::GetChunkBatch(
-    std::span<const ChunkId> ids) const {
-  STDCHK_RETURN_IF_ERROR(CheckOnline());
-  std::vector<BufferSlice> out;
-  out.reserve(ids.size());
-  for (const ChunkId& id : ids) {
-    STDCHK_ASSIGN_OR_RETURN(BufferSlice data, GetChunk(id));
-    out.push_back(std::move(data));
-  }
-  return out;
+Result<BufferSlice> Benefactor::GetChunk(const ChunkId& id) const {
+  STDCHK_ASSIGN_OR_RETURN(BufferSlice data, ReadChunk(id));
+  STDCHK_RETURN_IF_ERROR(VerifyChunk(id, data));
+  return data;
 }
 
 bool Benefactor::HasChunk(const ChunkId& id) const {

@@ -6,13 +6,15 @@
 // manager's live set. They additionally stash uncommitted chunk maps to
 // support the manager-recovery protocol.
 //
-// Threading: the data path (PutChunk/GetChunk/HasChunk) and the stash are
-// safe for concurrent use. Transports call them from many client threads
-// at once, while a single background pump (core/StdchkCluster::Tick or
-// core/BackgroundDriver) runs JoinPool, the GC exchange and stash offers.
-// The chunk store locks internally and the online flag is atomic; mu_
-// makes each admission's capacity check and store put one step, and
-// guards the stash. Content-address verification runs outside mu_.
+// Threading: the data path (PutChunk/ReadChunk/GetChunk/HasChunk) and the
+// stash are safe for concurrent use. Transports call them from many client
+// threads at once, while a single background pump (core/StdchkCluster::Tick
+// or core/BackgroundDriver) runs JoinPool, the GC exchange and stash
+// offers. The chunk store locks internally and the online flag is atomic;
+// mu_ makes each admission's capacity check and store put one step, and
+// guards the stash. Content-address verification runs outside mu_; on the
+// read side it is the static VerifyChunk, which a transport may run on
+// another thread after ReadChunk returns.
 #pragma once
 
 #include <atomic>
@@ -77,17 +79,20 @@ class Benefactor {
   // Admission results are byte-identical for every worker count.
   void set_verify_workers(int workers) { verify_workers_ = workers; }
 
-  // Verifies stored bytes against the content address before returning, so
-  // a tampering or bit-flipping donor is detected (§IV.C). The returned
-  // slice shares the store's buffer and outlives Delete/GC of the chunk.
-  Result<BufferSlice> GetChunk(const ChunkId& id) const;
+  // The in-order half of a read: the online check and the store lookup,
+  // without the content check. The returned slice shares the store's
+  // buffer and outlives Delete/GC of the chunk.
+  Result<BufferSlice> ReadChunk(const ChunkId& id) const;
 
-  // Batched read path, all-or-nothing (mirror of PutChunkBatch): one RPC
-  // returns every requested chunk, each integrity-verified, or fails
-  // wholesale — the client's read engine then fans the chunks back out to
-  // other replicas individually.
-  Result<std::vector<BufferSlice>> GetChunkBatch(
-      std::span<const ChunkId> ids) const;
+  // The content-address check (§IV.C): kDataLoss unless `data` hashes to
+  // `id`, so a tampering or bit-flipping donor is detected. Slices that
+  // still carry the writer's stamp (memory donors) compare it in O(1);
+  // unstamped ones (disk reads) pay the full re-hash. A pure function of
+  // immutable bytes: safe on any thread, takes no lock.
+  static Status VerifyChunk(const ChunkId& id, const BufferSlice& data);
+
+  // ReadChunk + VerifyChunk: the verified read.
+  Result<BufferSlice> GetChunk(const ChunkId& id) const;
 
   bool HasChunk(const ChunkId& id) const;
   // I/O-shape counters from the backing store (segment-log syscalls, mmap

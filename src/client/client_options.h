@@ -68,8 +68,9 @@ struct ClientOptions {
   // (including the session's own thread). Drain slices are immutable and
   // independent, so naming parallelizes safely; results are reassembled in
   // plan order, making the committed chunk map byte-identical for every
-  // setting. 0 = hardware concurrency; 1 = today's serial path, bit for
-  // bit (the shared HashPool is never touched).
+  // setting. 0 = hardware concurrency; 1 = serial naming on the session's
+  // thread. Only naming reads this: the transport checks every unstamped
+  // read payload (disk donors) on the shared HashPool whatever it says.
   int hash_workers = 0;
 
   // Replicas required at close() for pessimistic writes; also recorded as

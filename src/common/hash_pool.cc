@@ -42,7 +42,7 @@ int HashPool::EffectiveWorkers(std::size_t n, int max_workers) const {
   return static_cast<int>(std::max<std::size_t>(cap, 1));
 }
 
-bool HashPool::RunShare(Batch& batch) {
+bool HashPool::RunShare(BatchState& batch) {
   bool finished_last = false;
   bool claimed_any = false;
   for (;;) {
@@ -52,7 +52,7 @@ bool HashPool::RunShare(Batch& batch) {
       claimed_any = true;
       batch.active.fetch_add(1, std::memory_order_relaxed);
     }
-    (*batch.fn)(i);
+    batch.fn(i);
     if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         batch.count) {
       finished_last = true;
@@ -61,13 +61,13 @@ bool HashPool::RunShare(Batch& batch) {
   return finished_last;
 }
 
-std::shared_ptr<HashPool::Batch> HashPool::JoinableLocked() {
+std::shared_ptr<HashPool::BatchState> HashPool::JoinableLocked() {
   while (!batches_.empty() &&
          batches_.front()->next.load(std::memory_order_relaxed) >=
              batches_.front()->count) {
     batches_.pop_front();
   }
-  for (const std::shared_ptr<Batch>& c : batches_) {
+  for (const std::shared_ptr<BatchState>& c : batches_) {
     if (c->next.load(std::memory_order_relaxed) < c->count &&
         c->helpers.load(std::memory_order_relaxed) < c->max_helpers) {
       return c;
@@ -78,7 +78,7 @@ std::shared_ptr<HashPool::Batch> HashPool::JoinableLocked() {
 
 void HashPool::WorkerLoop() {
   for (;;) {
-    std::shared_ptr<Batch> batch;
+    std::shared_ptr<BatchState> batch;
     {
       MutexLock lock(mu_);
       while (!stop_ && (batch = JoinableLocked()) == nullptr) {
@@ -97,6 +97,44 @@ void HashPool::WorkerLoop() {
   }
 }
 
+HashPool::Batch HashPool::Spawn(std::size_t n, int max_helpers,
+                                std::function<void(std::size_t)> fn) {
+  auto state = std::make_shared<BatchState>();
+  state->fn = std::move(fn);
+  state->count = n;
+  state->max_helpers = static_cast<int>(std::min<std::size_t>(
+      {static_cast<std::size_t>(std::max(0, max_helpers)), workers_.size(),
+       n}));
+  if (state->max_helpers > 0) {
+    {
+      MutexLock lock(mu_);
+      batches_.push_back(state);
+    }
+    for (int i = 0; i < state->max_helpers; ++i) work_cv_.NotifyOne();
+  }
+  return Batch(std::move(state));
+}
+
+int HashPool::Join(Batch batch) {
+  std::shared_ptr<BatchState> state = std::move(batch.state_);
+  if (state == nullptr || state->count == 0) return 0;
+  RunShare(*state);
+  {
+    MutexLock lock(mu_);
+    while (state->done.load(std::memory_order_acquire) != state->count) {
+      done_cv_.Wait(mu_);
+    }
+  }
+  // Every fn call has returned: release its captures on this thread, not
+  // on whichever thread drops the queue's reference later.
+  state->fn = nullptr;
+  // Threads that claimed at least one index — a joiner that raced to an
+  // already-drained cursor worked nothing and is not counted. done==count
+  // implies every claimer finished, so the read is final. At least the
+  // caller or one worker claimed index 0.
+  return std::max(1, state->active.load(std::memory_order_acquire));
+}
+
 int HashPool::ParallelFor(std::size_t n, int max_workers,
                           const std::function<void(std::size_t)>& fn) {
   if (n == 0) return 0;
@@ -108,31 +146,8 @@ int HashPool::ParallelFor(std::size_t n, int max_workers,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return 1;
   }
-
-  auto batch = std::make_shared<Batch>();
-  batch->fn = &fn;
-  batch->count = n;
-  batch->max_helpers = helpers;
-  {
-    MutexLock lock(mu_);
-    batches_.push_back(batch);
-  }
-  work_cv_.NotifyAll();
-
-  if (RunShare(*batch)) {
-    done_cv_.NotifyAll();
-  }
-  {
-    MutexLock lock(mu_);
-    while (batch->done.load(std::memory_order_acquire) != batch->count) {
-      done_cv_.Wait(mu_);
-    }
-  }
-  // Threads that claimed at least one index — a joiner that raced to an
-  // already-drained cursor worked nothing and is not counted. done==count
-  // implies every claimer finished, so the read is final. At least the
-  // caller or one worker claimed index 0.
-  return std::max(1, batch->active.load(std::memory_order_acquire));
+  // The caller joins at once, so the batch may borrow fn.
+  return Join(Spawn(n, helpers, [&fn](std::size_t i) { fn(i); }));
 }
 
 }  // namespace stdchk

@@ -92,8 +92,38 @@ Result<Benefactor*> LocalTransport::Route(NodeId node) {
   return RouteLocked(node);
 }
 
+struct LocalTransport::ReadCheck {
+  std::vector<ChunkId> ids;            // the looked-up prefix of the request
+  std::vector<BufferSlice> payloads;   // parallel to ids
+  std::vector<Status> verdicts;        // parallel to ids: content checks
+  std::vector<std::size_t> deferred;   // positions checked on the pool
+  // The failed lookup that ended the prefix, if any. It lies past every
+  // checked position, so a failed check takes precedence.
+  Status lookup;
+
+  // Delivers the first failure in id order, or the payloads.
+  void Settle(OpCompletion& out) {
+    out.status = lookup;
+    for (Status& verdict : verdicts) {
+      if (!verdict.ok()) {
+        out.status = std::move(verdict);
+        break;
+      }
+    }
+    if (!out.status.ok()) return;
+    // The completion aliases the benefactor's stored buffers — the modeled
+    // wire charged the bytes, the process never copies them.
+    if (out.type == ChunkOpType::kGetChunk) {
+      out.data = std::move(payloads.front());
+    } else {
+      out.batch = std::move(payloads);
+    }
+  }
+};
+
 LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
-                                                OpCompletion& out) {
+                                                Pending& p) {
+  OpCompletion& out = p.completion;
   Result<Benefactor*> routed = Route(op.node);
   if (!routed.ok()) {
     out.status = routed.status();
@@ -111,28 +141,10 @@ LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
       out.status = node->PutChunkBatch(op.puts);
       return {total, total};
     }
-    case ChunkOpType::kGetChunk: {
-      Result<BufferSlice> got = node->GetChunk(op.id);
-      if (!got.ok()) {
-        out.status = got.status();
-        return {};
-      }
-      // The completion aliases the benefactor's stored buffer — the modeled
-      // wire charges the bytes, the process never copies them.
-      out.data = std::move(got).value();
-      return {out.data.size(), out.data.size()};
-    }
-    case ChunkOpType::kGetChunkBatch: {
-      Result<std::vector<BufferSlice>> got = node->GetChunkBatch(op.ids);
-      if (!got.ok()) {
-        out.status = got.status();
-        return {};
-      }
-      out.batch = std::move(got).value();
-      std::uint64_t total = 0;
-      for (const BufferSlice& b : out.batch) total += b.size();
-      return {total, total};
-    }
+    case ChunkOpType::kGetChunk:
+      return Read(*node, std::span<const ChunkId>(&op.id, 1), p);
+    case ChunkOpType::kGetChunkBatch:
+      return Read(*node, op.ids, p);
     case ChunkOpType::kStashChunkMap:
       out.status = node->StashChunkMap(op.record, op.stripe_width);
       return {};
@@ -159,6 +171,62 @@ LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
   return {};
 }
 
+LocalTransport::Traffic LocalTransport::Read(const Benefactor& node,
+                                             std::span<const ChunkId> ids,
+                                             Pending& p) {
+  ReadCheck read;
+  std::uint64_t bytes = 0;
+  for (const ChunkId& id : ids) {
+    Result<BufferSlice> got = node.ReadChunk(id);
+    if (!got.ok()) {
+      read.lookup = got.status();
+      break;
+    }
+    const BufferSlice& data = got.value();
+    bytes += data.size();
+    if (data.stamped_digest() == nullptr) {
+      read.deferred.push_back(read.payloads.size());
+      read.verdicts.emplace_back();
+    } else {
+      // A stamped payload's check is an O(1) digest compare.
+      read.verdicts.push_back(Benefactor::VerifyChunk(id, data));
+    }
+    read.ids.push_back(id);
+    read.payloads.push_back(std::move(got).value());
+    // A failed compare decides the GET: look nothing further up.
+    if (!read.verdicts.back().ok()) break;
+  }
+  // Like a PUT's, a GET's bytes hit the wire whether or not their check
+  // passes. A failed lookup moves nothing.
+  Traffic traffic;
+  if (read.lookup.ok()) traffic = {bytes, bytes};
+  if (read.deferred.empty()) {
+    read.Settle(p.completion);
+    return traffic;
+  }
+  // The unstamped payloads re-hash on the pool while the op is in flight.
+  // Each task owns what it reads and writes only its own verdict slot, so
+  // it takes no lock.
+  auto shared = std::make_shared<ReadCheck>(std::move(read));
+  std::size_t n = shared->deferred.size();
+  p.checking = HashPool::Shared().Spawn(
+      n, static_cast<int>(n), [shared](std::size_t i) {
+        std::size_t at = shared->deferred[i];
+        shared->verdicts[at] =
+            Benefactor::VerifyChunk(shared->ids[at], shared->payloads[at]);
+      });
+  p.read = std::move(shared);
+  return traffic;
+}
+
+OpCompletion LocalTransport::Deliver(Pending p) {
+  if (p.read != nullptr) {
+    HashPool::Shared().Join(std::move(p.checking));
+    p.read->Settle(p.completion);
+  }
+  return std::move(p.completion);
+}
+
 OpHandle LocalTransport::Submit(ChunkOp op) {
   Pending p;
   p.completion.type = op.type;
@@ -168,7 +236,7 @@ OpHandle LocalTransport::Submit(ChunkOp op) {
   // order. The call itself runs on this thread with mu_ released:
   // concurrent clients' ops overlap instead of queueing behind one
   // another's verify and fsync.
-  Traffic traffic = Execute(op, p.completion);
+  Traffic traffic = Execute(op, p);
 
   MutexLock lock(mu_);
   OpHandle handle = next_handle_++;
@@ -203,15 +271,18 @@ LocalTransport::Pending LocalTransport::TakeLocked(
 }
 
 Result<OpCompletion> LocalTransport::Wait(OpHandle handle) {
-  MutexLock lock(mu_);
-  auto it = pending_.find(handle);
-  if (it == pending_.end()) {
-    return NotFoundError("wait on unknown or already-delivered op handle " +
-                         std::to_string(handle));
+  Pending p;
+  {
+    MutexLock lock(mu_);
+    auto it = pending_.find(handle);
+    if (it == pending_.end()) {
+      return NotFoundError("wait on unknown or already-delivered op handle " +
+                           std::to_string(handle));
+    }
+    p = TakeLocked(it);
+    now_ = std::max(now_, p.ready_at);
   }
-  Pending p = TakeLocked(it);
-  now_ = std::max(now_, p.ready_at);
-  return std::move(p.completion);
+  return Deliver(std::move(p));
 }
 
 std::map<OpHandle, LocalTransport::Pending>::iterator
@@ -235,35 +306,48 @@ LocalTransport::FindEarliestLocked(std::span<const OpHandle> handles,
 
 Result<OpCompletion> LocalTransport::WaitAny(
     std::span<const OpHandle> handles) {
-  MutexLock lock(mu_);
-  if (handles.empty()) {
-    return InvalidArgumentError("WaitAny on an empty handle set");
-  }
-  for (OpHandle h : handles) {
-    if (!pending_.contains(h)) {
-      return NotFoundError(
-          "WaitAny includes an unknown or already-delivered op handle " +
-          std::to_string(h));
+  Pending p;
+  {
+    MutexLock lock(mu_);
+    if (handles.empty()) {
+      return InvalidArgumentError("WaitAny on an empty handle set");
     }
+    for (OpHandle h : handles) {
+      if (!pending_.contains(h)) {
+        return NotFoundError(
+            "WaitAny includes an unknown or already-delivered op handle " +
+            std::to_string(h));
+      }
+    }
+    p = TakeLocked(FindEarliestLocked(handles, /*only_ready=*/false));
+    now_ = std::max(now_, p.ready_at);
   }
-  Pending p = TakeLocked(FindEarliestLocked(handles, /*only_ready=*/false));
-  now_ = std::max(now_, p.ready_at);
-  return std::move(p.completion);
+  return Deliver(std::move(p));
 }
 
 std::optional<OpCompletion> LocalTransport::Poll(
     std::span<const OpHandle> handles) {
-  MutexLock lock(mu_);
-  auto best = FindEarliestLocked(handles, /*only_ready=*/true);
-  if (best == pending_.end()) return std::nullopt;
-  return TakeLocked(best).completion;
+  Pending p;
+  {
+    MutexLock lock(mu_);
+    auto best = FindEarliestLocked(handles, /*only_ready=*/true);
+    if (best == pending_.end()) return std::nullopt;
+    p = TakeLocked(best);
+  }
+  return Deliver(std::move(p));
 }
 
 bool LocalTransport::Cancel(OpHandle handle) {
-  MutexLock lock(mu_);
-  auto it = pending_.find(handle);
-  if (it == pending_.end()) return false;
-  pending_.erase(it);
+  Pending p;
+  {
+    MutexLock lock(mu_);
+    auto it = pending_.find(handle);
+    if (it == pending_.end()) return false;
+    p = TakeLocked(it);
+  }
+  // Only the reply is dropped; a spawned check is still joined, so no pool
+  // task outlives the op.
+  (void)Deliver(std::move(p));
   return true;
 }
 

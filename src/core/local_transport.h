@@ -3,36 +3,45 @@
 // injection and modeled link timing.
 //
 // This is the functional stand-in for the desktop grid's LAN. Execution is
-// eager — the benefactor side effect happens at Submit(), on the
-// submitting thread, which keeps runs deterministic — but completion
-// *delivery* follows the modeled clock: each node's access link
-// (sim/LinkModel) serializes its own ops and charges latency +
-// bytes/bandwidth, while ops on distinct nodes overlap. With the default
-// zero-cost links the clock never moves and the transport behaves like the
-// old synchronous one; with per-node models configured from
-// perf/PlatformModel, pipelined callers finish in a fraction of the
-// serial caller's modeled time — the paper-figure benches measure exactly
-// that.
+// eager and in submission order: an op's routing, benefactor side effect
+// and GET lookups happen at Submit(), on the submitting thread, which
+// keeps runs deterministic. One piece runs later: the content check of
+// unstamped GET payloads (disk reads, compacted memory chunks), a pure
+// function of immutable bytes, is handed to the shared HashPool at Submit
+// and joined before the completion is delivered, so one reader's window
+// of GETs verifies in parallel. Completion *delivery* follows the modeled
+// clock: each node's access link (sim/LinkModel) serializes its own ops
+// and charges latency + bytes/bandwidth, while ops on distinct nodes
+// overlap. With the default zero-cost links the clock never moves and the
+// transport behaves like the old synchronous one; with per-node models
+// configured from perf/PlatformModel, pipelined callers finish in a
+// fraction of the serial caller's modeled time — the paper-figure benches
+// measure exactly that.
 //
 // Thread-safety: all operations are safe for concurrent use. The mutex
 // guards only the transport's own bookkeeping: handle allocation, routing
 // (RPC count, reachability, the loss-rate draw), traffic counters, the
 // link clock and the pending table. The benefactor call runs outside it,
 // so concurrent clients' verifies, appends + fsyncs and restart reads
-// overlap; each benefactor serializes only its own admission. A
-// single-threaded caller sees the same op order, fault draws and modeled
-// delivery order as under a fully serial transport. Callers only ever
-// wait on their own handles, so concurrent sessions sharing one transport
-// cannot steal each other's completions.
+// overlap; each benefactor serializes only its own admission. Read checks
+// are joined with it released too. A single-threaded caller sees the same
+// op order, fault draws and modeled delivery order as under a fully
+// serial transport, and the same store counters unless a pool check
+// fails: a batch GET's lookups do not wait for its checks. Callers only
+// ever wait on their own handles, so concurrent sessions sharing one
+// transport cannot steal each other's completions.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
+#include <span>
 
 #include "benefactor/benefactor.h"
-#include "common/annotated_mutex.h"
 #include "client/transport.h"
+#include "common/annotated_mutex.h"
+#include "common/hash_pool.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "sim/link_model.h"
@@ -79,9 +88,17 @@ class LocalTransport final : public Transport {
   std::size_t InFlight() const override;
 
  private:
+  // A GET's looked-up payloads and their content checks (defined in the
+  // .cc). Shared with the pool batch that runs the checks.
+  struct ReadCheck;
+
   struct Pending {
     OpCompletion completion;
     SimTime ready_at = 0;  // modeled delivery time
+    // A GET whose checks run on the pool: Deliver joins `checking`, then
+    // settles the completion from `read`.
+    std::shared_ptr<ReadCheck> read;
+    HashPool::Batch checking;
   };
 
   // Wire bytes of one executed op: `wire` occupies the modeled link(s),
@@ -102,9 +119,20 @@ class LocalTransport final : public Transport {
   std::map<OpHandle, Pending>::iterator FindEarliestLocked(
       std::span<const OpHandle> handles, bool only_ready) REQUIRES(mu_);
   // Routes `op`, executes it against the routed benefactor and fills
-  // `out.status` / payload. Only routing takes mu_; the benefactor,
-  // chunk-store and hash-pool locks the call reaches are taken without it.
-  Traffic Execute(const ChunkOp& op, OpCompletion& out) EXCLUDES(mu_);
+  // `p.completion`'s status and payload, unless a GET leaves its checks
+  // running in `p`. Only routing takes mu_; the benefactor, chunk-store
+  // and hash-pool locks the call reaches are taken without it.
+  Traffic Execute(const ChunkOp& op, Pending& p) EXCLUDES(mu_);
+  // A GET's in-order half: looks `ids` up on `node`, stopping at the first
+  // failed lookup or failed stamped-digest compare, and checks the
+  // looked-up payloads. Stamped ones compare here; unstamped ones are
+  // spawned on the shared HashPool. The GET is charged its looked-up bytes
+  // unless a lookup failed. A GET with nothing spawned is settled here.
+  Traffic Read(const Benefactor& node, std::span<const ChunkId> ids,
+               Pending& p) EXCLUDES(mu_);
+  // Joins a GET's pool checks and settles its completion: the first
+  // failure in id order wins and a rejected GET carries no payload.
+  OpCompletion Deliver(Pending p) EXCLUDES(mu_);
   Pending TakeLocked(std::map<OpHandle, Pending>::iterator it) REQUIRES(mu_);
 
   mutable Mutex mu_{LockRank::kTransport, 0, "local_transport"};

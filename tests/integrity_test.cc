@@ -9,6 +9,7 @@
 #include "benefactor/benefactor.h"
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "disk_tamper.h"
 
 namespace stdchk {
 namespace {
@@ -52,11 +53,12 @@ TEST(IntegrityTest, TamperedDiskChunkIsDetectedOnRead) {
 }
 
 TEST(IntegrityTest, ReaderFailsOverFromCorruptReplicaToGoodOne) {
-  // Two replicas; one donor's copy is corrupted in memory via a wipe+put
-  // of different content under the same id (simulating silent corruption
-  // is not possible through the public API — the content check in
-  // PutChunk is itself the guard — so we model the corrupt donor as one
-  // whose GetChunk fails, i.e. unreachable).
+  // Two replicas on memory donors, and the link to the first replica of
+  // every chunk is cut: the reader must fail over to the second. A memory
+  // donor's bytes cannot be altered through the public API (PutChunk's
+  // content check is the guard), so this case models the bad replica as
+  // unreachable. Disk donors can be corrupted for real: see
+  // ReadAllFailsOverFromATamperedDiskReplica.
   ClusterOptions options;
   options.benefactor_count = 3;
   options.client.stripe_width = 2;
@@ -78,6 +80,67 @@ TEST(IntegrityTest, ReaderFailsOverFromCorruptReplicaToGoodOne) {
   auto read_back = cluster.client().ReadFile(CheckpointName{"a", "n", 1});
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back.value(), data);
+}
+
+TEST(IntegrityTest, ReadAllFailsOverFromATamperedDiskReplica) {
+  auto dir = fs::temp_directory_path() / "stdchk_integrity_tampered_replica";
+  fs::remove_all(dir);
+  constexpr std::size_t kChunk = 64 * 1024;
+  ClusterOptions options;
+  options.benefactor_count = 4;
+  options.disk_root = dir.string();
+  options.client.stripe_width = 2;
+  options.client.chunk_size = kChunk;
+  options.client.semantics = WriteSemantics::kPessimistic;
+  options.client.replication_target = 2;
+  {
+    StdchkCluster cluster(options);
+    CheckpointName name{"a", "disk", 1};
+    Rng rng(3);
+    Bytes data = rng.RandomBytes(8 * kChunk);
+    ASSERT_TRUE(cluster.client().WriteFile(name, data).ok());
+
+    // The reader's first pick for chunk 0 is its first replica: a donor
+    // flips one byte of that copy on disk.
+    auto record = cluster.manager().GetVersion(name);
+    ASSERT_TRUE(record.ok());
+    const ChunkLocation& chunk0 = record.value().chunk_map.chunks[0];
+    ASSERT_EQ(chunk0.replicas.size(), 2u);
+    NodeId bad = chunk0.replicas[0];
+    const Benefactor* donor = nullptr;
+    for (std::size_t i = 0; i < 4; ++i) {
+      if (cluster.benefactor(i).id() == bad) donor = &cluster.benefactor(i);
+    }
+    ASSERT_NE(donor, nullptr);
+    ASSERT_TRUE(FlipStoredByte(dir / donor->host(),
+                               ByteSpan(data).subspan(0, chunk0.size)));
+
+    auto session = cluster.client().OpenFile(name);
+    ASSERT_TRUE(session.ok());
+    auto read_back = session.value()->ReadAll();
+    ASSERT_TRUE(read_back.ok()) << read_back.status();
+    EXPECT_EQ(read_back.value(), data);
+    EXPECT_GT(session.value()->stats().failovers, 0u);
+
+    // Asked directly, the bad donor serves no bytes for the chunk.
+    LocalTransport& transport = cluster.transport();
+    auto single =
+        transport.Wait(transport.Submit(ChunkOp::Get(bad, chunk0.id)));
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(single.value().status.code(), StatusCode::kDataLoss);
+    EXPECT_TRUE(single.value().data.empty());
+    auto batch =
+        transport.Wait(transport.Submit(ChunkOp::GetBatch(bad, {chunk0.id})));
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch.value().status.code(), StatusCode::kDataLoss);
+    EXPECT_TRUE(batch.value().batch.empty());
+    EXPECT_EQ(transport.GetChunk(bad, chunk0.id).status().code(),
+              StatusCode::kDataLoss);
+    std::vector<ChunkId> ids{chunk0.id};
+    EXPECT_EQ(transport.GetChunkBatch(bad, ids).status().code(),
+              StatusCode::kDataLoss);
+  }
+  fs::remove_all(dir);
 }
 
 TEST(IntegrityTest, PutRejectsMismatchedContentEvenViaTransport) {

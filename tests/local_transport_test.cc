@@ -5,10 +5,12 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <future>
 #include <thread>
 
 #include "common/rng.h"
+#include "disk_tamper.h"
 #include "manager/virtual_clock.h"
 
 namespace stdchk {
@@ -230,6 +232,266 @@ TEST(LocalTransportConcurrencyTest, RacingBatchesNeverOvercommitADonor) {
     donor.Wipe();
     donor.Restart();
   }
+}
+
+// ---- Deferred read checks --------------------------------------------------
+// A disk donor's reads come back unstamped: their lookup runs at Submit, in
+// order, and their content check runs on the shared HashPool until the
+// completion is delivered. One stored record is tampered with on disk.
+
+class DeferredReadCheckTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kChunk = 64 * 1024;
+
+  DeferredReadCheckTest()
+      : dir_(std::filesystem::temp_directory_path() /
+             ("stdchk_deferred_check_" +
+              std::string(::testing::UnitTest::GetInstance()
+                              ->current_test_info()
+                              ->name()))),
+        manager_(&clock_) {
+    std::filesystem::remove_all(dir_);
+    auto store = MakeDiskChunkStore(dir_.string());
+    EXPECT_TRUE(store.ok());
+    donor_ = std::make_unique<Benefactor>("disk", std::move(store).value(),
+                                          1_GiB);
+    EXPECT_TRUE(donor_->JoinPool(manager_).ok());
+    transport_.AddEndpoint(donor_.get());
+
+    Rng rng(5);
+    for (Bytes& data : clean_) {
+      data = rng.RandomBytes(kChunk);
+      EXPECT_TRUE(donor_->PutChunk(ChunkId::For(data), data).ok());
+    }
+    Bytes tampered = rng.RandomBytes(kChunk);
+    tampered_ = ChunkId::For(tampered);
+    EXPECT_TRUE(donor_->PutChunk(tampered_, tampered).ok());
+    EXPECT_TRUE(FlipStoredByte(dir_, tampered));
+    missing_ = ChunkId::For(rng.RandomBytes(kChunk));
+  }
+  ~DeferredReadCheckTest() override {
+    std::filesystem::remove_all(dir_);
+  }
+
+  NodeId node() const { return donor_->id(); }
+  ChunkId clean(std::size_t i) const { return ChunkId::For(clean_[i]); }
+  OpHandle Get(const ChunkId& id) {
+    return transport_.Submit(ChunkOp::Get(node(), id));
+  }
+
+  std::filesystem::path dir_;
+  VirtualClock clock_;
+  MetadataManager manager_;
+  LocalTransport transport_;
+  std::unique_ptr<Benefactor> donor_;
+  std::array<Bytes, 2> clean_;
+  ChunkId tampered_;
+  ChunkId missing_;
+};
+
+TEST_F(DeferredReadCheckTest, WaitDeliversDataLossWithoutPayload) {
+  auto c = transport_.Wait(Get(tampered_));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(c.value().data.empty());
+  EXPECT_EQ(transport_.InFlight(), 0u);
+}
+
+TEST_F(DeferredReadCheckTest, WaitAnyDeliversDataLossWithoutPayload) {
+  OpHandle h = Get(tampered_);
+  auto c = transport_.WaitAny(std::span<const OpHandle>(&h, 1));
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(c.value().handle, h);
+  EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(c.value().data.empty());
+}
+
+TEST_F(DeferredReadCheckTest, PollDeliversDataLossWithoutPayload) {
+  // Zero-cost links: the op is finished at the modeled clock at once.
+  OpHandle h = Get(tampered_);
+  std::optional<OpCompletion> c =
+      transport_.Poll(std::span<const OpHandle>(&h, 1));
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(c->data.empty());
+  EXPECT_EQ(transport_.InFlight(), 0u);
+}
+
+TEST_F(DeferredReadCheckTest, WaitAnyDeliversInSubmissionOrder) {
+  std::vector<OpHandle> handles = {Get(clean(0)), Get(tampered_),
+                                   Get(clean(1))};
+  std::vector<OpHandle> open = handles;
+  for (std::size_t k = 0; k < handles.size(); ++k) {
+    auto c = transport_.WaitAny(open);
+    ASSERT_TRUE(c.ok());
+    ASSERT_EQ(c.value().handle, handles[k]) << k;
+    open.erase(std::find(open.begin(), open.end(), handles[k]));
+    if (k == 1) {
+      EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
+      EXPECT_TRUE(c.value().data.empty());
+    } else {
+      ASSERT_TRUE(c.value().status.ok()) << c.value().status;
+      EXPECT_EQ(c.value().data, clean_[k == 0 ? 0 : 1]);
+    }
+  }
+}
+
+TEST_F(DeferredReadCheckTest, CancelDropsAnUncheckedGet) {
+  OpHandle bad = Get(tampered_);
+  OpHandle good = Get(clean(0));
+  EXPECT_TRUE(transport_.Cancel(bad));
+  EXPECT_TRUE(transport_.Cancel(good));
+  EXPECT_FALSE(transport_.Cancel(bad));
+  EXPECT_EQ(transport_.Wait(good).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(transport_.InFlight(), 0u);
+}
+
+TEST_F(DeferredReadCheckTest, BatchDeliversTheFirstFailureInIdOrder) {
+  auto batch = [&](std::vector<ChunkId> ids) {
+    auto c = transport_.Wait(
+        transport_.Submit(ChunkOp::GetBatch(node(), std::move(ids))));
+    EXPECT_TRUE(c.ok());
+    return std::move(c).value();
+  };
+  OpCompletion checked_first = batch({clean(0), tampered_, missing_});
+  EXPECT_EQ(checked_first.status.code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(checked_first.batch.empty());
+  OpCompletion missing_first = batch({clean(0), missing_, tampered_});
+  EXPECT_EQ(missing_first.status.code(), StatusCode::kNotFound);
+  EXPECT_TRUE(missing_first.batch.empty());
+
+  OpCompletion clean_batch = batch({clean(1), clean(0)});
+  ASSERT_TRUE(clean_batch.status.ok()) << clean_batch.status;
+  ASSERT_EQ(clean_batch.batch.size(), 2u);
+  EXPECT_EQ(clean_batch.batch[0], clean_[1]);
+  EXPECT_EQ(clean_batch.batch[1], clean_[0]);
+}
+
+TEST_F(DeferredReadCheckTest, RejectedGetIsChargedLikeARejectedPut) {
+  std::uint64_t before = transport_.bytes_moved();
+  EXPECT_EQ(transport_.GetChunk(node(), tampered_).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(transport_.bytes_moved() - before, kChunk);
+
+  before = transport_.bytes_moved();
+  Bytes data = ToBytes("not the chunk its id names");
+  EXPECT_EQ(transport_.PutChunk(node(), missing_, data).code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(transport_.bytes_moved() - before, data.size());
+
+  // A failed lookup still moves nothing.
+  before = transport_.bytes_moved();
+  EXPECT_EQ(transport_.GetChunk(node(), missing_).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(transport_.bytes_moved(), before);
+}
+
+TEST_F(DeferredReadCheckTest, ConcurrentReadersGetTheirOwnVerdicts) {
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 40;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<OpHandle> handles = {Get(clean(0)), Get(tampered_),
+                                         Get(clean(1))};
+        std::vector<OpHandle> open = handles;
+        for (std::size_t k = 0; k < handles.size(); ++k) {
+          auto c = transport_.WaitAny(open);
+          if (!c.ok() || c.value().handle != handles[k]) {
+            wrong.fetch_add(1);
+            return;
+          }
+          open.erase(std::find(open.begin(), open.end(), handles[k]));
+          bool right = k == 1 ? c.value().status.code() ==
+                                        StatusCode::kDataLoss &&
+                                    c.value().data.empty()
+                              : c.value().status.ok() &&
+                                    c.value().data == clean_[k / 2];
+          if (!right) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(transport_.InFlight(), 0u);
+}
+
+// A memory donor's payloads keep the writer's stamp, so their check is an
+// O(1) compare at Submit. This store serves another chunk's stamped bytes
+// for one id, as a donor returning the wrong record would, and counts its
+// lookups.
+class SwappingStore final : public ChunkStore {
+ public:
+  SwappingStore(ChunkId swapped, ChunkId served)
+      : swapped_(swapped), served_(served) {}
+
+  using ChunkStore::Put;
+  Status Put(const ChunkId& id, BufferSlice data) override {
+    return inner_->Put(id, std::move(data));
+  }
+  Result<BufferSlice> Get(const ChunkId& id) const override {
+    gets_.fetch_add(1);
+    return inner_->Get(id == swapped_ ? served_ : id);
+  }
+  bool Contains(const ChunkId& id) const override {
+    return inner_->Contains(id);
+  }
+  Status Delete(const ChunkId& id) override { return inner_->Delete(id); }
+  std::vector<ChunkId> List() const override { return inner_->List(); }
+  std::uint64_t BytesUsed() const override { return inner_->BytesUsed(); }
+  std::size_t ChunkCount() const override { return inner_->ChunkCount(); }
+
+  int gets() const { return gets_.load(); }
+
+ private:
+  std::unique_ptr<ChunkStore> inner_ = MakeMemoryChunkStore();
+  ChunkId swapped_;
+  ChunkId served_;
+  mutable std::atomic<int> gets_{0};
+};
+
+TEST(StampedReadCheckTest, FailedCompareEndsABatchsLookups) {
+  VirtualClock clock;
+  MetadataManager manager(&clock);
+  LocalTransport transport;
+  std::array<ChunkId, 2> stored;
+  std::array<Bytes, 2> bytes = {ToBytes("first stored chunk"),
+                                ToBytes("second stored chunk")};
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    stored[i] = ChunkId::For(bytes[i]);
+  }
+  ChunkId swapped = ChunkId::For(ToBytes("served the first chunk's bytes"));
+  auto owned = std::make_unique<SwappingStore>(swapped, stored[0]);
+  SwappingStore& store = *owned;
+  Benefactor donor("memory", std::move(owned), 1_GiB);
+  ASSERT_TRUE(donor.JoinPool(manager).ok());
+  transport.AddEndpoint(&donor);
+  for (std::size_t i = 0; i < stored.size(); ++i) {
+    BufferSlice slice = BufferSlice::Copy(bytes[i]);
+    slice.StampDigest(stored[i].digest);
+    ASSERT_TRUE(donor.PutChunk(stored[i], std::move(slice)).ok());
+  }
+
+  auto batch = [&](std::vector<ChunkId> ids) {
+    auto c = transport.Wait(
+        transport.Submit(ChunkOp::GetBatch(donor.id(), std::move(ids))));
+    EXPECT_TRUE(c.ok());
+    return std::move(c).value().status.code();
+  };
+  // The looked-up prefix ends at the failed compare, as it ends at a failed
+  // lookup: the store never sees the ids after it.
+  int before = store.gets();
+  EXPECT_EQ(batch({stored[0], swapped, stored[1]}), StatusCode::kDataLoss);
+  EXPECT_EQ(store.gets() - before, 2);
+  before = store.gets();
+  EXPECT_EQ(batch({swapped, stored[0], stored[1]}), StatusCode::kDataLoss);
+  EXPECT_EQ(store.gets() - before, 1);
+  before = store.gets();
+  EXPECT_EQ(batch({stored[1], stored[0]}), StatusCode::kOk);
+  EXPECT_EQ(store.gets() - before, 2);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -99,6 +100,92 @@ TEST(HashPoolTest, EffectiveWorkersBounds) {
   EXPECT_EQ(pool.EffectiveWorkers(100, 2), 2);
   EXPECT_EQ(pool.EffectiveWorkers(100, 16), 4);  // pool caps at 4
   EXPECT_EQ(pool.EffectiveWorkers(3, 16), 3);    // batch caps at n
+}
+
+TEST(HashPoolTest, JoinRunsEveryIndexOnTheCallerOfAZeroWorkerPool) {
+  HashPool pool(0);
+  std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(64);
+  HashPool::Batch batch = pool.Spawn(
+      ran.size(), 8,
+      [&ran](std::size_t i) { ran[i] = std::this_thread::get_id(); });
+  EXPECT_EQ(pool.Join(std::move(batch)), 1);
+  for (std::thread::id id : ran) EXPECT_EQ(id, caller);
+  EXPECT_EQ(pool.Join(pool.Spawn(0, 8, [](std::size_t) {})), 0);
+}
+
+TEST(HashPoolTest, WorkerResultsAreVisibleAfterJoin) {
+  HashPool pool(4);
+  std::thread::id caller = std::this_thread::get_id();
+  std::size_t ran_by_workers = 0;
+  for (int round = 0; round < 20; ++round) {
+    // Plain slots: only Join orders the workers' writes before the reads.
+    std::vector<std::uint64_t> out(257, 0);
+    std::vector<std::thread::id> by(out.size());
+    HashPool::Batch batch =
+        pool.Spawn(out.size(), 3, [&out, &by](std::size_t i) {
+          out[i] = i * i + 1;
+          by[i] = std::this_thread::get_id();
+        });
+    // Let the workers claim indices before the caller joins in.
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    int used = pool.Join(std::move(batch));
+    EXPECT_GE(used, 1);
+    EXPECT_LE(used, 4);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], i * i + 1) << "round " << round << " i=" << i;
+      if (by[i] != caller) ++ran_by_workers;
+    }
+  }
+  EXPECT_GT(ran_by_workers, 0u);
+}
+
+TEST(HashPoolTest, SpawnOwnsATemporaryFn) {
+  HashPool pool(4);
+  std::vector<std::uint64_t> out(100, 0);
+  HashPool::Batch batch;
+  {
+    // The fn and its captured copy die here, before the batch is joined.
+    std::vector<std::uint64_t> weights(out.size(), 3);
+    batch = pool.Spawn(out.size(), 3, [&out, weights](std::size_t i) {
+      out[i] = weights[i] * i;
+    });
+  }
+  pool.Join(std::move(batch));
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i);
+}
+
+TEST(HashPoolTest, SpawnersAndAParallelForShareThePool) {
+  HashPool pool(4);
+  constexpr std::size_t kN = 200;
+  constexpr int kRounds = 30;
+  std::atomic<int> wrong{0};
+  auto check = [&wrong](const std::vector<int>& hits) {
+    for (int h : hits) {
+      if (h != 1) wrong.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<int> hits(kN, 0);
+        HashPool::Batch batch =
+            pool.Spawn(kN, 3, [&hits](std::size_t i) { ++hits[i]; });
+        pool.Join(std::move(batch));
+        check(hits);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<int> hits(kN, 0);
+      pool.ParallelFor(kN, 4, [&hits](std::size_t i) { ++hits[i]; });
+      check(hits);
+    }
+  });
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ---- Planner determinism ----------------------------------------------------

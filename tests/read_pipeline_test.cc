@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "client/read_session.h"
 #include "common/rng.h"
@@ -43,16 +44,22 @@ class ReadPipelineTest : public ::testing::Test {
   Rng rng_{1234};
 };
 
-TEST_F(ReadPipelineTest, PipelinedEqualsSerialAcrossCorpus) {
+// Writes each corpus image to `cluster` and reads it back at several
+// read-ahead depths.
+void ExpectPipelinedEqualsSerial(StdchkCluster& cluster, Rng& rng) {
   // Seed corpus: empty-ish, sub-chunk, chunk-aligned, off-by-one, large.
-  const std::size_t sizes[] = {1,          kChunk / 2,     kChunk,
-                               kChunk + 1, 10 * kChunk + 500,
-                               37 * kChunk + 7};
+  const std::size_t chunk = cluster.client().options().chunk_size;
+  const std::size_t sizes[] = {1,         chunk / 2,     chunk,
+                               chunk + 1, 10 * chunk + 500,
+                               37 * chunk + 7};
   std::uint64_t t = 1;
   for (std::size_t size : sizes) {
-    Bytes data = Write(t, size);
+    Bytes data = rng.RandomBytes(size);
+    ASSERT_TRUE(cluster.client().WriteFile(Name(t), data).ok());
     for (int read_ahead : {0, 2, 8}) {
-      auto reader = cluster_->MakeClient(ReaderOptions(read_ahead));
+      ClientOptions options = cluster.client().options();
+      options.read_ahead_chunks = read_ahead;
+      auto reader = cluster.MakeClient(options);
       auto got = reader->ReadFile(Name(t));
       ASSERT_TRUE(got.ok()) << "size " << size << " ra " << read_ahead << ": "
                             << got.status();
@@ -60,6 +67,28 @@ TEST_F(ReadPipelineTest, PipelinedEqualsSerialAcrossCorpus) {
     }
     ++t;
   }
+}
+
+TEST_F(ReadPipelineTest, PipelinedEqualsSerialAcrossCorpus) {
+  ExpectPipelinedEqualsSerial(*cluster_, rng_);
+}
+
+TEST_F(ReadPipelineTest, PipelinedEqualsSerialOnDiskDonors) {
+  // Disk reads come back unstamped, so every GET's content check is
+  // spawned on the shared HashPool and joined when the window delivers it.
+  auto dir = std::filesystem::temp_directory_path() /
+             "stdchk_read_pipeline_disk";
+  std::filesystem::remove_all(dir);
+  {
+    ClusterOptions options;
+    options.benefactor_count = 6;
+    options.disk_root = dir.string();
+    options.client.stripe_width = 4;
+    options.client.chunk_size = 64 * 1024;
+    StdchkCluster disk(options);
+    ExpectPipelinedEqualsSerial(disk, rng_);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ReadPipelineTest, ReadAllOverlapsFetchesAcrossBenefactors) {
