@@ -147,6 +147,9 @@ void BM_CbchNoOverlap(benchmark::State& state) {
 }
 BENCHMARK(BM_CbchNoOverlap)->Arg(20)->Arg(32)->Arg(256);
 
+// mb_s here and in BM_CbchScannerStreaming comes from the calling thread's
+// CPU time, which leaves out the gear scan's mark phase whenever it runs on
+// pool workers; BM_CbchScannerDrain times the gear scan on the wall clock.
 void BM_CbchOverlap(benchmark::State& state) {
   Bytes data = MakeInput(1 << 20);  // smaller: the paper-style scan is slow
   CbchParams params;
@@ -169,8 +172,7 @@ BENCHMARK(BM_CbchOverlap)
     ->Arg(1)   // paper-style per-window recompute
     ->Arg(2);  // gear scan (the current hot path)
 
-// The streaming scanner the write path drives (ChunkPlanner::Append), fed
-// in write-sized pieces — the number the end-to-end CbCH write rides on.
+// The streaming scanner fed in application-write-sized pieces (256 KiB).
 // Arg 0: min_chunk (0 = every position hashed, 4096 = skip-ahead active).
 // Arg 1: boundary hash (0 = gear, the default; 1 = Mix64 rolling, the
 // pre-gear scan kept for the differential speedup row).
@@ -204,6 +206,29 @@ BENCHMARK(BM_CbchScannerStreaming)
     ->Args({4096, 0})   // gear + min-chunk skip-ahead
     ->Args({0, 1})      // Mix64 rolling, no minimum (pre-gear baseline)
     ->Args({4096, 1});  // Mix64 rolling + skip-ahead
+
+// The gear scanner as the write path drives it (ChunkPlanner::Drain): fed
+// one sliding-window drain generation (1 MiB) at a time, timed on the wall
+// clock because the mark phase runs on the shared HashPool.
+void BM_CbchScannerDrain(benchmark::State& state) {
+  Bytes data = MakeInput(8 << 20);
+  ContentBasedChunker chunker(CbchParams{});
+  constexpr std::size_t kPiece = 1 << 20;
+  for (auto _ : state) {
+    auto scanner = chunker.MakeScanner();
+    std::vector<std::uint64_t> ends;
+    for (std::size_t pos = 0; pos < data.size(); pos += kPiece) {
+      scanner->Feed(ByteSpan(data.data() + pos,
+                             std::min(kPiece, data.size() - pos)),
+                    ends);
+    }
+    scanner->Finish(ends);
+    benchmark::DoNotOptimize(ends);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_CbchScannerDrain)->UseRealTime();
 
 class JsonLineReporter : public benchmark::ConsoleReporter {
  public:

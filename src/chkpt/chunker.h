@@ -107,6 +107,10 @@ enum class CbchBoundaryHash {
   // multiplies, no ring-buffer byte removal) with the same 2^-k boundary
   // density; the effective window is the last 64 bytes regardless of
   // window_m (window_m still sets the warm-up, i.e. the minimum chunk).
+  // Because a position's hash depends on those 64 bytes alone, the scanner
+  // marks candidates in parallel 64 KiB segments on the shared HashPool and
+  // then applies the boundary rules in stream order; the boundaries equal
+  // a one-byte serial scan's.
   kGear,
   // The original polynomial rolling hash finalized with Mix64 per byte.
   // Kept selectable for differential testing and as the boundary-compatible
@@ -139,10 +143,11 @@ struct CbchParams {
   // throughputs (~1 MB/s overlap, ~26 MB/s no-overlap, i.e. a fixed ~1 us
   // per window) are consistent with exactly this. When false (default),
   // the scan uses cheap non-cryptographic hashing (`boundary_hash` below
-  // for p==1, FNV per window otherwise) — the optimization the paper
-  // leaves as future work ("offloading the intensive hashing
-  // computations"). Boundary placement differs between modes (different
-  // hash functions) but both are content-defined.
+  // for p==1, FNV per window otherwise), and the default gear scan
+  // offloads its per-byte hashing to the shared HashPool — the
+  // optimizations the paper leaves as future work ("offloading the
+  // intensive hashing computations"). Boundary placement differs between
+  // modes (different hash functions) but both are content-defined.
   bool recompute_per_window = false;
 
   // Boundary hash for the p==1 non-recompute scan (the write hot path).

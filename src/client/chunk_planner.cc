@@ -20,33 +20,40 @@ ChunkPlanner::ChunkPlanner(std::shared_ptr<const Chunker> chunker,
 }
 
 void ChunkPlanner::Append(ByteSpan data) {
-  // Scan before buffering: the scanner sees every byte exactly once.
-  scanner_->Feed(data, sealed_ends_);
   copy_stats::RecordMaterialize(data.size());
   stdchk::Append(buffer_, data);
 }
 
 std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
-  if (final) scanner_->Finish(sealed_ends_);
+  // Everything appended since the last drain goes to the scanner as one
+  // span, so a parallel scan gets a whole drain generation to split. Each
+  // byte is scanned exactly once.
+  std::size_t scanned =
+      static_cast<std::size_t>(scanner_->consumed() - buffer_start_);
+  std::vector<std::uint64_t> sealed_ends;
+  if (scanned < buffer_.size()) {
+    scanner_->Feed(ByteSpan(buffer_).subspan(scanned), sealed_ends);
+  }
+  if (final) scanner_->Finish(sealed_ends);
   std::vector<StagedChunk> out;
-  if (sealed_ends_.empty()) return out;
+  if (sealed_ends.empty()) return out;
 
   // Freeze the current buffer generation: sealed chunks become ref-counted
   // slices into it (zero-copy; the slices hold it alive), and only the
   // unsealed tail moves back into the working buffer.
   std::size_t consumed =
-      static_cast<std::size_t>(sealed_ends_.back() - buffer_start_);
+      static_cast<std::size_t>(sealed_ends.back() - buffer_start_);
   Bytes tail(buffer_.begin() + static_cast<std::ptrdiff_t>(consumed),
              buffer_.end());
   BufferRef backing = BufferRef::Take(std::move(buffer_));
   buffer_ = std::move(tail);
 
-  out.reserve(sealed_ends_.size());
+  out.reserve(sealed_ends.size());
   std::uint64_t start = buffer_start_;
   auto t0 = std::chrono::steady_clock::now();
-  if (hash_workers_ <= 1 || sealed_ends_.size() < 2) {
+  if (hash_workers_ <= 1 || sealed_ends.size() < 2) {
     // Serial path (N=1), unchanged from the single-threaded engine.
-    for (std::uint64_t end : sealed_ends_) {
+    for (std::uint64_t end : sealed_ends) {
       BufferSlice slice(backing,
                         static_cast<std::size_t>(start - buffer_start_),
                         static_cast<std::size_t>(end - start));
@@ -63,7 +70,7 @@ std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
     // is embarrassingly parallel; each worker writes its slot, so the plan
     // order (and therefore the committed chunk map) is byte-identical to
     // the serial path.
-    for (std::uint64_t end : sealed_ends_) {
+    for (std::uint64_t end : sealed_ends) {
       BufferSlice slice(backing,
                         static_cast<std::size_t>(start - buffer_start_),
                         static_cast<std::size_t>(end - start));
@@ -89,11 +96,10 @@ std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
     auto t1 = std::chrono::steady_clock::now();
     stats_->hash_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-    stats_->hash_chunks += sealed_ends_.size();
-    stats_->hash_bytes += sealed_ends_.back() - buffer_start_;
+    stats_->hash_chunks += sealed_ends.size();
+    stats_->hash_bytes += sealed_ends.back() - buffer_start_;
   }
-  buffer_start_ = sealed_ends_.back();
-  sealed_ends_.clear();
+  buffer_start_ = sealed_ends.back();
   return out;
 }
 

@@ -5,12 +5,12 @@
 // content-addressed chunks under any Chunker — FsCH for the paper's
 // fixed-size transfer chunks, CbCH for shift-resilient incremental
 // checkpointing (§IV.C). Boundaries are found by the chunker's streaming
-// ChunkScanner as bytes arrive: each byte is scanned exactly once, no
-// matter how often the protocols drain (the old re-offer-the-suffix
-// discipline re-scanned CbCH tails O(n·drains) times). A chunk is only
-// released once no amount of future data can move its edges, so the chunk
-// map is a pure function of file content, independent of Write() call
-// granularity or drain timing.
+// ChunkScanner when a protocol drains: Drain feeds it every byte appended
+// since the last drain, in one span, so each byte is scanned exactly once
+// and a parallel scan splits a whole drain generation at a time. A chunk
+// is only released once no amount of future data can move its edges, so
+// the chunk map is a pure function of file content, independent of
+// Write() call granularity or drain timing.
 #pragma once
 
 #include <cstdint>
@@ -47,16 +47,17 @@ class ChunkPlanner {
                         bool stamp_digests = true);
 
   // Buffers more application data (checkpoint images arrive sequentially)
-  // and runs the streaming boundary scan over it — the single
-  // materialization point of the write path.
+  // — the single materialization point of the write path. The boundary
+  // scan runs in Drain.
   void Append(ByteSpan data);
 
   // Bytes accepted but not yet drained — the client-side spill/window the
   // three protocols manage differently.
   std::size_t buffered_bytes() const { return buffer_.size(); }
 
-  // Removes and returns chunks whose boundaries are sealed. `final` seals
-  // the tail as well (close-time drain); afterwards the planner is empty.
+  // Scans the bytes appended since the last drain, then removes and
+  // returns chunks whose boundaries are sealed. `final` seals the tail as
+  // well (close-time drain); afterwards the planner is empty.
   std::vector<StagedChunk> Drain(bool final);
 
   const Chunker& chunker() const { return *chunker_; }
@@ -69,8 +70,6 @@ class ChunkPlanner {
   std::unique_ptr<ChunkScanner> scanner_;
   Bytes buffer_;                 // bytes from the last drained boundary on
   std::uint64_t buffer_start_ = 0;  // absolute stream offset of buffer_[0]
-  // Sealed boundaries (absolute stream offsets) not yet drained.
-  std::vector<std::uint64_t> sealed_ends_;
 };
 
 }  // namespace stdchk

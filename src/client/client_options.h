@@ -70,7 +70,8 @@ struct ClientOptions {
   // plan order, making the committed chunk map byte-identical for every
   // setting. 0 = hardware concurrency; 1 = serial naming on the session's
   // thread. Only naming reads this: the transport checks every unstamped
-  // read payload (disk donors) on the shared HashPool whatever it says.
+  // read payload (disk donors), and the CbCH gear scan marks boundary
+  // candidates, on the shared HashPool whatever it says.
   int hash_workers = 0;
 
   // Replicas required at close() for pessimistic writes; also recorded as

@@ -1,6 +1,7 @@
-// Work-stealing thread pool for CPU-bound fan-out, sized for the write
-// path's parallel chunk naming (the paper's "offloading the computationally
-// intensive hashing" future work).
+// Work-stealing thread pool for CPU-bound fan-out, sized for the data
+// path's parallel hashing (the paper's "offloading the computationally
+// intensive hashing" future work): chunk naming, the CbCH gear scan's
+// candidate marks, and content checks at admission and on read.
 //
 // The unit of work is a batch of n independent index-addressed tasks:
 // workers and the joining caller steal indices one at a time from a shared

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <thread>
 #include <unordered_set>
 
+#include "common/hash_pool.h"
 #include "common/rng.h"
+#include "gear_oracle.h"
+#include "workload/trace_generators.h"
 
 namespace stdchk {
 namespace {
@@ -402,6 +408,148 @@ TEST(ChunkScannerTest, FallbackAdapterMatchesSplit) {
   Bytes data = rng.RandomBytes(512);
   EveryOtherByteChunker chunker;
   EXPECT_EQ(ScanEnds(chunker, data, 9), SplitEnds(chunker, data));
+}
+
+// ---- Gear scanner against the serial oracle --------------------------------
+// The gear scanner marks candidates in 64 KiB segments on the shared pool
+// and applies the boundary rules in stream order. Its boundaries must equal
+// the one-byte serial loop's for any piece sizes, across segment edges,
+// Feed edges and every rule that depends on the previous boundary.
+
+struct OracleInput {
+  const char* name;
+  Bytes data;
+};
+
+std::vector<OracleInput> OracleInputs() {
+  constexpr std::size_t kSize = (1u << 20) + (100u << 10) + 7;
+  Rng rng(4242);
+  Bytes random = rng.RandomBytes(kSize);
+  BlcrTraceOptions blcr;
+  blcr.initial_pages = kSize / blcr.page_bytes;
+  blcr.zero_page_fraction = 0.3;  // long zero runs between random pages
+  blcr.seed = 17;
+  Bytes half_zero = random;
+  std::fill(half_zero.begin() + kSize / 4, half_zero.begin() + 3 * kSize / 4,
+            0);
+  // In a 0x05 run every position is a candidate for k <= 10.
+  Bytes run = random;
+  std::fill(run.begin() + kSize / 8, run.begin() + 7 * kSize / 8, 0x05);
+  return {{"random", random},
+          {"blcr", MakeBlcrLikeTrace(blcr)->Next()},
+          {"half-zero", half_zero},
+          {"0x05-run", run}};
+}
+
+std::vector<std::uint64_t> FeedInPieces(const Chunker& chunker, ByteSpan data,
+                                        std::size_t piece) {
+  auto scanner = chunker.MakeScanner();
+  std::vector<std::uint64_t> ends;
+  for (std::size_t pos = 0; pos < data.size(); pos += piece) {
+    scanner->Feed(data.subspan(pos, std::min(piece, data.size() - pos)),
+                  ends);
+  }
+  EXPECT_EQ(scanner->consumed(), data.size());
+  scanner->Finish(ends);
+  return ends;
+}
+
+// max_chunk 70 and 90 lie below window_m plus the min_chunk skip for most
+// draws, so the forced boundary falls on the first checked position.
+CbchParams DrawGearParams(Rng& rng) {
+  static constexpr std::size_t kWindows[] = {8, 20, 64, 100};
+  static constexpr int kBits[] = {4, 8, 10, 14};
+  static constexpr std::uint32_t kMins[] = {0, 50, 2048, 5000};
+  static constexpr std::uint32_t kMaxes[] = {0, 70, 90, 4096, 1u << 20,
+                                             16u << 20};
+  CbchParams params;
+  params.window_m = kWindows[rng.NextBelow(std::size(kWindows))];
+  params.boundary_bits_k = kBits[rng.NextBelow(std::size(kBits))];
+  params.min_chunk = kMins[rng.NextBelow(std::size(kMins))];
+  params.max_chunk = kMaxes[rng.NextBelow(std::size(kMaxes))];
+  return params;
+}
+
+// For every input and piece size, compares `draws` seeded parameter sets.
+// Pieces under 4 KiB feed only a 200 KiB prefix, to keep the byte-at-a-time
+// cases short.
+void ExpectGearMatchesOracle(std::uint64_t seed,
+                             const std::vector<std::size_t>& pieces,
+                             int draws) {
+  Rng rng(seed);
+  for (const OracleInput& input : OracleInputs()) {
+    for (std::size_t piece : pieces) {
+      ByteSpan data(input.data);
+      if (piece < 4096) data = data.first(200u << 10);
+      for (int d = 0; d < draws; ++d) {
+        CbchParams params = DrawGearParams(rng);
+        ContentBasedChunker chunker(params);
+        ASSERT_EQ(FeedInPieces(chunker, data, piece),
+                  SerialGearEnds(params, data))
+            << chunker.name() << " max=" << params.max_chunk << " on "
+            << input.name << " in pieces of " << piece;
+      }
+    }
+  }
+}
+
+// 64 KiB is the scanner's segment size; the last piece is the whole input.
+const std::vector<std::size_t> kOraclePieces = {
+    1, 997, (64u << 10) - 1, 64u << 10, (64u << 10) + 1, 256u << 10, 1u << 20,
+    1u << 30};
+
+TEST(CbchGearOracleTest, MatchesSerialLoopOverSeededGrid) {
+  ExpectGearMatchesOracle(7, kOraclePieces, 8);
+}
+
+// A boundary a few bytes before a piece's end leaves the min_chunk skip and
+// the reset-state warm-up to finish in the next Feed.
+TEST(CbchGearOracleTest, BoundaryInTheLast63BytesOfAPiece) {
+  Rng rng(8);
+  Bytes data = rng.RandomBytes(600u << 10);
+  for (std::size_t m : {8u, 20u, 64u, 100u}) {
+    for (std::uint32_t min_chunk : {0u, 50u}) {
+      CbchParams params{m, 8, 1};
+      params.min_chunk = min_chunk;
+      std::vector<std::uint64_t> oracle = SerialGearEnds(params, data);
+      auto past_segment = std::find_if(
+          oracle.begin(), oracle.end(),
+          [](std::uint64_t end) { return end > (64u << 10) + 100; });
+      ASSERT_NE(past_segment, oracle.end());
+      ContentBasedChunker chunker(params);
+      for (std::size_t before_end : {1u, 30u, 63u}) {
+        std::size_t piece = static_cast<std::size_t>(*past_segment) +
+                            before_end;
+        EXPECT_EQ(FeedInPieces(chunker, data, piece), oracle)
+            << chunker.name() << " boundary " << before_end
+            << " bytes before the end of a " << piece << "-byte piece";
+      }
+    }
+  }
+}
+
+// With every pool worker taken by other batches, the scanner's segments run
+// on the calling thread.
+TEST(CbchGearOracleTest, MatchesSerialLoopWhileThePoolIsBusy) {
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hogs;
+  for (int t = 0; t < 3; ++t) {
+    hogs.emplace_back([&stop] {
+      std::vector<std::uint64_t> sink(64);
+      auto spin = [&sink](std::size_t i) {
+        std::uint64_t x = i;
+        for (int r = 0; r < 20000; ++r) x = x * 6364136223846793005ull + 1;
+        sink[i] = x;
+      };
+      while (!stop.load(std::memory_order_relaxed)) {
+        HashPool::Shared().ParallelFor(sink.size(),
+                                       static_cast<int>(sink.size()), spin);
+      }
+    });
+  }
+  ExpectGearMatchesOracle(9, {(64u << 10) + 1, 1u << 20, 1u << 30}, 3);
+  stop.store(true);
+  for (std::thread& t : hogs) t.join();
 }
 
 TEST(ChunkSizeStatsTest, ComputesMinMaxAvg) {

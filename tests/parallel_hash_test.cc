@@ -1,7 +1,8 @@
 // The parallel drain hashing engine: HashPool mechanics, and the
 // determinism contract — for any worker count N, any drain timing, and any
 // chunker, the planner's chunk names, their order, and the committed chunk
-// map must be byte-identical to the serial (N=1) path.
+// map must be byte-identical to the serial (N=1) path and to boundaries
+// computed without the planner.
 #include "common/hash_pool.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "client/chunk_planner.h"
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "gear_oracle.h"
 
 namespace stdchk {
 namespace {
@@ -219,6 +221,36 @@ std::vector<PlannedChunk> Plan(std::shared_ptr<const Chunker> chunker,
   return out;
 }
 
+// Names and sizes of `data` cut at `ends`: the planner's expected output,
+// computed without a planner.
+std::vector<PlannedChunk> CutAt(ByteSpan data,
+                                const std::vector<std::uint64_t>& ends) {
+  std::vector<PlannedChunk> out;
+  std::uint64_t start = 0;
+  for (std::uint64_t end : ends) {
+    ByteSpan chunk = data.subspan(static_cast<std::size_t>(start),
+                                  static_cast<std::size_t>(end - start));
+    out.push_back({ChunkId::For(chunk), chunk.size()});
+    start = end;
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> FixedEnds(std::size_t size, std::size_t chunk) {
+  std::vector<std::uint64_t> ends;
+  for (std::size_t end = chunk; end < size; end += chunk) ends.push_back(end);
+  ends.push_back(size);
+  return ends;
+}
+
+std::vector<std::uint64_t> SplitEnds(const Chunker& chunker, ByteSpan data) {
+  std::vector<std::uint64_t> ends;
+  for (const ChunkSpan& span : chunker.Split(data)) {
+    ends.push_back(span.offset + span.size);
+  }
+  return ends;
+}
+
 TEST(ParallelHashDeterminismTest, PlannerMatchesSerialAcrossWorkersAndTiming) {
   Rng rng(2026);
   Bytes data = rng.RandomBytes(512 * 1024);
@@ -228,26 +260,56 @@ TEST(ParallelHashDeterminismTest, PlannerMatchesSerialAcrossWorkersAndTiming) {
   CbchParams mix = gear;
   mix.boundary_hash = CbchBoundaryHash::kMix64Rolling;
 
-  std::vector<std::shared_ptr<const Chunker>> chunkers = {
-      std::make_shared<FixedSizeChunker>(8192),
-      std::make_shared<ContentBasedChunker>(gear),
-      std::make_shared<ContentBasedChunker>(mix),
+  // Each reference comes from outside the planner: the serial gear oracle,
+  // fixed-size arithmetic, and the unchanged Mix64 scan's one-shot split.
+  auto mix_chunker = std::make_shared<ContentBasedChunker>(mix);
+  struct Case {
+    std::shared_ptr<const Chunker> chunker;
+    std::vector<std::uint64_t> ends;
+  };
+  std::vector<Case> cases = {
+      {std::make_shared<FixedSizeChunker>(8192), FixedEnds(data.size(), 8192)},
+      {std::make_shared<ContentBasedChunker>(gear),
+       SerialGearEnds(gear, data)},
+      {mix_chunker, SplitEnds(*mix_chunker, data)},
   };
 
-  for (const auto& chunker : chunkers) {
-    // Serial reference: whole image, one final drain, N=1.
-    std::vector<PlannedChunk> reference =
-        Plan(chunker, /*hash_workers=*/1, data, data.size(), 0);
-    ASSERT_GT(reference.size(), 4u) << chunker->name();
+  for (const Case& c : cases) {
+    std::vector<PlannedChunk> reference = CutAt(data, c.ends);
+    ASSERT_GT(reference.size(), 4u) << c.chunker->name();
 
     for (int workers : {1, 2, 8}) {
       for (std::size_t piece : {4097u, 64u * 1024u}) {
         for (std::size_t drain_every : {0u, 1u, 3u}) {
-          EXPECT_EQ(Plan(chunker, workers, data, piece, drain_every),
+          EXPECT_EQ(Plan(c.chunker, workers, data, piece, drain_every),
                     reference)
-              << chunker->name() << " N=" << workers << " piece=" << piece
+              << c.chunker->name() << " N=" << workers << " piece=" << piece
               << " drain_every=" << drain_every;
         }
+      }
+    }
+  }
+}
+
+// Application-sized appends drained every append and every fourth one, so
+// each drain feeds the gear scanner a span of several 64 KiB segments.
+TEST(ParallelHashDeterminismTest, PlannerMatchesOracleOnMultiSegmentDrains) {
+  Rng rng(2027);
+  Bytes data = rng.RandomBytes((2u << 20) + 4321);
+  CbchParams min_max;
+  min_max.boundary_bits_k = 12;
+  min_max.min_chunk = 2048;
+  min_max.max_chunk = 8192;
+  for (const CbchParams& params : {CbchParams{}, min_max}) {
+    auto chunker = std::make_shared<ContentBasedChunker>(params);
+    std::vector<PlannedChunk> reference =
+        CutAt(data, SerialGearEnds(params, data));
+    for (int workers : {1, 8}) {
+      for (std::size_t drain_every : {1u, 4u}) {
+        EXPECT_EQ(Plan(chunker, workers, data, 256u << 10, drain_every),
+                  reference)
+            << chunker->name() << " N=" << workers
+            << " drain_every=" << drain_every;
       }
     }
   }
