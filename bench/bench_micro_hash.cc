@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hashing primitives that set
 // the similarity heuristics' throughput ceilings: SHA-1 (chunk naming,
-// portable vs hardware-accelerated), FNV-1a (window hashing), the rolling
-// hash, and the full chunkers.
+// portable vs hardware-accelerated), FNV-1a (window hashing), the gear
+// rolling hash, and the full chunkers.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
@@ -57,50 +57,8 @@ void BM_Fnv1a(benchmark::State& state) {
 }
 BENCHMARK(BM_Fnv1a)->Arg(20)->Arg(4096)->Arg(1 << 20);
 
-void BM_RollingHashScan(benchmark::State& state) {
-  Bytes data = MakeInput(1 << 20);
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    RollingHash hash(m);
-    for (std::size_t i = 0; i < m; ++i) hash.Push(data[i]);
-    std::uint64_t acc = 0;
-    for (std::size_t pos = 0; pos + m < data.size(); ++pos) {
-      hash.Roll(data[pos], data[pos + m]);
-      acc ^= hash.value();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_RollingHashScan)->Arg(20)->Arg(64);
-
-// The per-byte boundary checks head to head: the old polynomial-roll +
-// Mix64 finalize (3 multiplies per byte) vs the gear table update + top-bit
-// mask (shift, add, lookup). These are the raw primitives underneath the
-// BM_CbchOverlap chunker rows.
-void BM_Mix64BoundaryScan(benchmark::State& state) {
-  Bytes data = MakeInput(1 << 20);
-  const std::size_t m = 20;
-  const std::uint64_t mask = (1ull << 14) - 1;
-  for (auto _ : state) {
-    std::uint64_t h = 0, pow_m = 1, boundaries = 0;
-    for (std::size_t i = 0; i + 1 < m; ++i) pow_m *= RollingHash::kBase;
-    for (std::size_t i = 0; i < m; ++i) {
-      h = h * RollingHash::kBase + data[i] + 1;
-    }
-    for (std::size_t pos = 0; pos + m < data.size(); ++pos) {
-      h = (h - (data[pos] + 1ull) * pow_m) * RollingHash::kBase +
-          data[pos + m] + 1;
-      boundaries += (Mix64(h) & mask) == 0;
-    }
-    benchmark::DoNotOptimize(boundaries);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_Mix64BoundaryScan);
-
+// The raw per-byte gear boundary check (shift, add, lookup, top-bit mask)
+// underneath the BM_CbchOverlap chunker rows.
 void BM_GearBoundaryScan(benchmark::State& state) {
   Bytes data = MakeInput(1 << 20);
   const std::uint64_t mask = gear::BoundaryMask(14);
@@ -157,8 +115,6 @@ void BM_CbchOverlap(benchmark::State& state) {
   params.boundary_bits_k = 14;
   params.advance_p = 1;
   params.recompute_per_window = state.range(0) == 1;
-  params.boundary_hash = state.range(0) == 2 ? CbchBoundaryHash::kGear
-                                             : CbchBoundaryHash::kMix64Rolling;
   ContentBasedChunker chunker(params);
   for (auto _ : state) {
     auto spans = chunker.Split(data);
@@ -168,14 +124,13 @@ void BM_CbchOverlap(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_CbchOverlap)
-    ->Arg(0)   // Mix64 rolling-hash scan (pre-gear hot path)
     ->Arg(1)   // paper-style per-window recompute
-    ->Arg(2);  // gear scan (the current hot path)
+    ->Arg(2);  // gear scan (the write hot path)
 
-// The streaming scanner fed in application-write-sized pieces (256 KiB).
-// Arg 0: min_chunk (0 = every position hashed, 4096 = skip-ahead active).
-// Arg 1: boundary hash (0 = gear, the default; 1 = Mix64 rolling, the
-// pre-gear scan kept for the differential speedup row).
+// The gear streaming scanner fed in application-write-sized pieces
+// (256 KiB). Arg 0: min_chunk (0 = every position hashed, 4096 = skip-ahead
+// active). Arg 1 is always 0, which keeps the case names of the recorded
+// results.
 void BM_CbchScannerStreaming(benchmark::State& state) {
   Bytes data = MakeInput(8 << 20);
   CbchParams params;
@@ -183,8 +138,6 @@ void BM_CbchScannerStreaming(benchmark::State& state) {
   params.boundary_bits_k = 14;
   params.advance_p = 1;
   params.min_chunk = static_cast<std::uint32_t>(state.range(0));
-  params.boundary_hash = state.range(1) == 0 ? CbchBoundaryHash::kGear
-                                             : CbchBoundaryHash::kMix64Rolling;
   ContentBasedChunker chunker(params);
   constexpr std::size_t kPiece = 256 << 10;
   for (auto _ : state) {
@@ -202,10 +155,8 @@ void BM_CbchScannerStreaming(benchmark::State& state) {
                           static_cast<std::int64_t>(data.size()));
 }
 BENCHMARK(BM_CbchScannerStreaming)
-    ->Args({0, 0})      // gear, no minimum
-    ->Args({4096, 0})   // gear + min-chunk skip-ahead
-    ->Args({0, 1})      // Mix64 rolling, no minimum (pre-gear baseline)
-    ->Args({4096, 1});  // Mix64 rolling + skip-ahead
+    ->Args({0, 0})      // no minimum
+    ->Args({4096, 0});  // min-chunk skip-ahead
 
 // The gear scanner as the write path drives it (ChunkPlanner::Drain): fed
 // one sliding-window drain generation (1 MiB) at a time, timed on the wall

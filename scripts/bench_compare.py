@@ -5,7 +5,7 @@ Rows are keyed by their bench name plus every non-metric field (config
 labels, stripe widths, sweep parameters, ...). Metric fields are recognized
 by name pattern and classified by direction:
 
-  higher is better:  *_mb_s, *speedup*, *similarity_pct, *reduction_pct
+  higher is better:  *_mb_s, *speedup*, *reduction_pct
   lower  is better:  *_ns, *modeled*_s, *overhead_pct
 
 A metric that moves against its direction by more than --tolerance
@@ -15,10 +15,11 @@ rows and metrics are reported but never fail the gate — benches evolve.
 
 A second class of metrics is DETERMINISTIC: counts and invariants (payload
 copies, syscalls, fsyncs, mmap reads, placement RPCs,
-erasure shard puts/reconstructions/GC releases)
-that depend only on the workload, not the hardware. These are compared
-exactly — any drift is a regression, because a copy or RPC appearing on a
-zero-copy / zero-RPC path is a behavior change, not noise.
+erasure shard puts/reconstructions/GC releases, chunk-boundary similarity
+and average chunk size) that depend only on the workload, not the
+hardware. These are compared exactly — any drift is a regression, because
+a copy or RPC appearing on a zero-copy / zero-RPC path, or a boundary
+moving, is a behavior change, not noise.
 
 Usage:
   scripts/bench_compare.py --baseline BENCH_RESULTS.json \
@@ -35,8 +36,8 @@ import argparse
 import json
 import sys
 
-HIGHER_BETTER = ("_mb_s", "_per_sec", "speedup", "similarity_pct",
-                 "reduction_pct", "improvement_pct")
+HIGHER_BETTER = ("_mb_s", "_per_sec", "speedup", "reduction_pct",
+                 "improvement_pct")
 LOWER_BETTER = ("_ns", "overhead_pct", "overhead_x")
 # modeled_*_s / *_total_s style wall-clock models: lower is better.
 LOWER_BETTER_TIME_HINTS = ("modeled", "total_s", "real_time")
@@ -58,7 +59,11 @@ DETERMINISTIC = ("_payload_copies", "_copy_bytes", "materializations",
                  # Live compaction: victims rewritten and generation
                  # releases are a function of the op sequence alone.
                  "segments_compacted", "compacted_bytes",
-                 "generations_released")
+                 "generations_released",
+                 # Chunk boundaries: similarity between versions and the
+                 # average chunk size are a pure function of the chunker
+                 # and the seeded traces, so boundary drift shows here.
+                 "similarity_pct", "avg_chunk_kb")
 
 
 def deterministic(name):

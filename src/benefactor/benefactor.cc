@@ -73,7 +73,7 @@ Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
   }
   std::vector<ChunkId> computed(unstamped.size());
   HashPool::Shared().ParallelFor(
-      unstamped.size(), HashPool::ResolveThreads(verify_workers_),
+      unstamped.size(), HashPool::ResolveThreads(0),
       [&puts, &unstamped, &computed](std::size_t i) {
         computed[i] = ChunkId::For(puts[unstamped[i]].data.span());
       });

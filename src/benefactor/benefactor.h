@@ -70,14 +70,10 @@ class Benefactor {
   // re-route it wholesale. (A store-level I/O failure mid-batch may leave
   // earlier chunks behind — they are content addressed, so they either
   // become usable replicas or GC-reclaimable orphans.) Unstamped chunks
-  // re-hash in parallel on the shared HashPool (see set_verify_workers);
-  // the store receives the batch as one PutBatch call.
+  // re-hash in parallel on the shared HashPool, as wide as the process may
+  // run (HashPool::ResolveThreads); admission results are the same for any
+  // width. The store receives the batch as one PutBatch call.
   Status PutChunkBatch(std::span<const ChunkPut> puts) EXCLUDES(mu_);
-
-  // Fan-out for batch-admission re-hashing of unstamped chunks: 0 (default)
-  // uses hardware concurrency, N caps it, 1 is the serial path bit for bit.
-  // Admission results are byte-identical for every worker count.
-  void set_verify_workers(int workers) { verify_workers_ = workers; }
 
   // The in-order half of a read: the online check and the store lookup,
   // without the content check. The returned slice shares the store's
@@ -160,7 +156,6 @@ class Benefactor {
   std::uint64_t capacity_bytes_;
   NodeId id_ = kInvalidNode;
   std::atomic<bool> online_{true};
-  int verify_workers_ = 0;  // 0 = hardware concurrency (HashPool rule)
   CompactionPolicy compaction_policy_;  // background-pump pacing knobs
 
   struct Stashed {

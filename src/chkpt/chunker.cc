@@ -11,56 +11,6 @@
 namespace stdchk {
 namespace {
 
-// Buffering adapter: the correctness fallback for chunkers without a
-// native scanner. Re-offers the unsealed suffix to SplitSealed, throttled
-// geometrically — a re-scan only runs once the buffer has doubled since
-// the last one — so total re-hashing stays O(n) no matter how small the
-// Feed pieces are. Sealing may lag by up to one buffer doubling, which
-// SplitSealed semantics permit (delaying a scan never moves a boundary);
-// Finish seals everything regardless. Note the suffix is buffered here in
-// addition to any caller-side buffer (the planner keeps its own) — native
-// scanners avoid that duplication.
-class RescanScanner final : public ChunkScanner {
- public:
-  explicit RescanScanner(const Chunker* chunker) : chunker_(chunker) {}
-
-  void Feed(ByteSpan data, std::vector<std::uint64_t>& out) override {
-    Append(buffer_, data);
-    consumed_ += data.size();
-    if (buffer_.size() < next_scan_size_) return;
-    Emit(chunker_->SplitSealed(buffer_), out);
-    next_scan_size_ = buffer_.size() * 2;
-  }
-
-  void Finish(std::vector<std::uint64_t>& out) override {
-    if (buffer_.empty()) return;
-    Emit(chunker_->Split(buffer_), out);
-    buffer_.clear();
-  }
-
-  std::uint64_t consumed() const override { return consumed_; }
-
- private:
-  void Emit(const std::vector<ChunkSpan>& spans,
-            std::vector<std::uint64_t>& out) {
-    if (spans.empty()) return;
-    for (const ChunkSpan& span : spans) {
-      out.push_back(base_ + span.offset + span.size);
-    }
-    std::size_t cut = static_cast<std::size_t>(spans.back().offset) +
-                      spans.back().size;
-    base_ += cut;
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<std::ptrdiff_t>(cut));
-  }
-
-  const Chunker* chunker_;
-  Bytes buffer_;
-  std::uint64_t base_ = 0;
-  std::uint64_t consumed_ = 0;
-  std::size_t next_scan_size_ = 0;
-};
-
 class FixedScanner final : public ChunkScanner {
  public:
   explicit FixedScanner(std::size_t chunk_size) : chunk_size_(chunk_size) {}
@@ -93,120 +43,6 @@ std::size_t SkipAfterBoundary(const CbchParams& params) {
              ? params.min_chunk - params.window_m
              : 0;
 }
-
-// p == 1 with the Mix64 polynomial rolling hash — the pre-gear hot scan,
-// kept selectable (CbchBoundaryHash::kMix64Rolling) as the differential
-// baseline and for boundary-compatibility with pre-gear chunk maps. The
-// steady state is a pointer-bumping inner loop — ring update, one
-// multiply-add roll, mix, mask — with no per-byte function calls; after
-// each boundary the scan skips min_chunk-m bytes outright before
-// refilling the window. Windows never straddle boundaries, so streaming
-// feeds reproduce the whole-file scan bit for bit.
-class CbchRollingScanner final : public ChunkScanner {
- public:
-  explicit CbchRollingScanner(const CbchParams& params)
-      : m_(params.window_m),
-        mask_((1ull << params.boundary_bits_k) - 1),
-        max_chunk_(params.max_chunk),
-        skip_init_(SkipAfterBoundary(params)),
-        ring_(params.window_m),
-        skip_left_(SkipAfterBoundary(params)) {  // min applies to chunk 0 too
-    pow_m_ = 1;
-    for (std::size_t i = 0; i + 1 < m_; ++i) pow_m_ *= RollingHash::kBase;
-  }
-
-  void Feed(ByteSpan data, std::vector<std::uint64_t>& out) override {
-    const std::uint8_t* p = data.data();
-    const std::uint8_t* const end = p + data.size();
-    // Hot state in locals; written back on exit.
-    std::uint64_t h = hash_;
-    std::uint64_t pos = pos_, chunk_start = chunk_start_;
-    std::size_t filled = filled_, rp = ring_pos_, skip = skip_left_;
-    std::uint8_t* const ring = ring_.data();
-
-    while (p < end) {
-      if (skip > 0) {
-        std::size_t take =
-            std::min<std::size_t>(skip, static_cast<std::size_t>(end - p));
-        p += take;
-        pos += take;
-        skip -= take;
-        continue;
-      }
-      if (filled < m_) {
-        while (p < end && filled < m_) {
-          std::uint8_t in = *p++;
-          ring[rp] = in;
-          rp = (rp + 1 == m_) ? 0 : rp + 1;
-          h = h * RollingHash::kBase + in + 1;
-          ++filled;
-          ++pos;
-        }
-        if (filled < m_) break;
-        if ((Mix64(h) & mask_) == 0 ||
-            (max_chunk_ != 0 && pos - chunk_start >= max_chunk_)) {
-          out.push_back(pos);
-          chunk_start = pos;
-          h = 0;
-          filled = 0;
-          rp = 0;
-          skip = skip_init_;
-        }
-        continue;
-      }
-      // Steady state: full window sliding one byte per step.
-      while (p < end) {
-        const std::uint8_t in = *p++;
-        const std::uint8_t old = ring[rp];
-        ring[rp] = in;
-        rp = (rp + 1 == m_) ? 0 : rp + 1;
-        h = (h - (old + 1) * pow_m_) * RollingHash::kBase + in + 1;
-        ++pos;
-        if ((Mix64(h) & mask_) == 0 ||
-            (max_chunk_ != 0 && pos - chunk_start >= max_chunk_)) {
-          out.push_back(pos);
-          chunk_start = pos;
-          h = 0;
-          filled = 0;
-          rp = 0;
-          skip = skip_init_;
-          break;
-        }
-      }
-    }
-
-    hash_ = h;
-    pos_ = pos;
-    chunk_start_ = chunk_start;
-    filled_ = filled;
-    ring_pos_ = rp;
-    skip_left_ = skip;
-  }
-
-  void Finish(std::vector<std::uint64_t>& out) override {
-    if (pos_ > chunk_start_) {
-      out.push_back(pos_);
-      chunk_start_ = pos_;
-    }
-  }
-
-  std::uint64_t consumed() const override { return pos_; }
-
- private:
-  const std::size_t m_;
-  const std::uint64_t mask_;
-  const std::uint64_t max_chunk_;
-  const std::size_t skip_init_;
-  std::uint64_t pow_m_;
-
-  Bytes ring_;           // last m bytes of the current window
-  std::size_t ring_pos_ = 0;
-  std::size_t filled_ = 0;
-  std::uint64_t hash_ = 0;
-  std::uint64_t pos_ = 0;          // stream bytes consumed
-  std::uint64_t chunk_start_ = 0;  // start of the open chunk
-  std::size_t skip_left_;          // min-chunk skip-ahead remaining
-};
 
 // The gear hash is a function of the last kGearWindow bytes only: each
 // byte's contribution shifts out of the 64-bit state after that many steps.
@@ -548,10 +384,6 @@ std::vector<ChunkSpan> Chunker::SplitSealed(ByteSpan data) const {
   return spans;
 }
 
-std::unique_ptr<ChunkScanner> Chunker::MakeScanner() const {
-  return std::make_unique<RescanScanner>(this);
-}
-
 FixedSizeChunker::FixedSizeChunker(std::size_t chunk_size)
     : chunk_size_(chunk_size) {
   assert(chunk_size_ > 0);
@@ -605,10 +437,7 @@ std::vector<ChunkSpan> ContentBasedChunker::Split(ByteSpan data) const {
 
 std::unique_ptr<ChunkScanner> ContentBasedChunker::MakeScanner() const {
   if (params_.overlap() && !params_.recompute_per_window) {
-    if (params_.boundary_hash == CbchBoundaryHash::kGear) {
-      return std::make_unique<CbchGearScanner>(params_);
-    }
-    return std::make_unique<CbchRollingScanner>(params_);
+    return std::make_unique<CbchGearScanner>(params_);
   }
   return std::make_unique<CbchHopScanner>(params_);
 }
@@ -620,10 +449,7 @@ std::string ContentBasedChunker::name() const {
   if (params_.min_chunk > 0) {
     out += ",min=" + std::to_string(params_.min_chunk);
   }
-  if (params_.overlap() && !params_.recompute_per_window) {
-    out += params_.boundary_hash == CbchBoundaryHash::kGear ? ",gear"
-                                                            : ",mix64";
-  }
+  if (params_.overlap() && !params_.recompute_per_window) out += ",gear";
   return out + ")";
 }
 

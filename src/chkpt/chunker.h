@@ -69,16 +69,15 @@ class Chunker {
   // more bytes later. The default withholds the trailing span, whose end
   // is the buffer end rather than a content-determined boundary; chunkers
   // that can prove the tail final (e.g. a full fixed-size chunk) may
-  // override. Prefer MakeScanner(), which never re-scans.
+  // override. The write path uses MakeScanner(), which never re-scans.
   virtual std::vector<ChunkSpan> SplitSealed(ByteSpan data) const;
 
   // Creates a streaming scanner equivalent to this chunker: feeding it a
   // stream in any piece sizes, then Finish(), yields the boundary ends of
-  // Split(whole stream). The scanner must not outlive the chunker. The
-  // base implementation is a buffering adapter over SplitSealed/Split
-  // (correct for any chunker, but re-scans); FsCH and CbCH provide O(1)-
-  // state native scanners.
-  virtual std::unique_ptr<ChunkScanner> MakeScanner() const;
+  // Split(whole stream). The scanner must not outlive the chunker. Every
+  // chunker supplies its own native scanner; a wrapping chunker forwards
+  // to the one it wraps.
+  virtual std::unique_ptr<ChunkScanner> MakeScanner() const = 0;
 
   virtual std::string name() const = 0;
 };
@@ -100,31 +99,13 @@ class FixedSizeChunker final : public Chunker {
   std::size_t chunk_size_;
 };
 
-// Which per-byte hash drives the p==1 streaming boundary scan.
-enum class CbchBoundaryHash {
-  // Table-driven gear/CDC hash: one shift+add+lookup per byte, boundary =
-  // top k bits zero. ~3x cheaper per byte than kMix64Rolling (no
-  // multiplies, no ring-buffer byte removal) with the same 2^-k boundary
-  // density; the effective window is the last 64 bytes regardless of
-  // window_m (window_m still sets the warm-up, i.e. the minimum chunk).
-  // Because a position's hash depends on those 64 bytes alone, the scanner
-  // marks candidates in parallel 64 KiB segments on the shared HashPool and
-  // then applies the boundary rules in stream order; the boundaries equal
-  // a one-byte serial scan's.
-  kGear,
-  // The original polynomial rolling hash finalized with Mix64 per byte.
-  // Kept selectable for differential testing and as the boundary-compatible
-  // reading of pre-gear chunk maps.
-  kMix64Rolling,
-};
-
 struct CbchParams {
   std::size_t window_m = 20;   // bytes covered by the rolling window
   // Boundary density: a boundary fires when k chosen hash bits are all
   // zero (probability 2^-k per inspected position). Which k bits depends
-  // on the scan: the gear hash (default) masks the TOP k bits (the most
-  // mixed ones — see gear::BoundaryMask), Mix64/hop scans the low k bits
-  // of the finalized hash.
+  // on the scan: the p==1 gear scan masks the TOP k bits of its hash (the
+  // most mixed ones — see gear::BoundaryMask); hopping and recompute scans
+  // mask the low k bits of the Mix64-finalized window hash.
   int boundary_bits_k = 14;
   std::size_t advance_p = 1;   // window advance per step; p==1 -> overlap
   // Safety bound so adversarial content cannot produce unbounded chunks;
@@ -142,20 +123,19 @@ struct CbchParams {
   // m-byte window from scratch at each position. The paper's measured
   // throughputs (~1 MB/s overlap, ~26 MB/s no-overlap, i.e. a fixed ~1 us
   // per window) are consistent with exactly this. When false (default),
-  // the scan uses cheap non-cryptographic hashing (`boundary_hash` below
-  // for p==1, FNV per window otherwise), and the default gear scan
-  // offloads its per-byte hashing to the shared HashPool — the
-  // optimizations the paper leaves as future work ("offloading the
-  // intensive hashing computations"). Boundary placement differs between
-  // modes (different hash functions) but both are content-defined.
+  // the scan uses cheap non-cryptographic hashing. A p==1 scan (the write
+  // hot path) rolls the gear hash: one shift, add and table lookup per
+  // byte, whose effective window is the last 64 bytes whatever window_m
+  // says (window_m still sets the warm-up, i.e. the minimum chunk). A
+  // position's hash depends on those 64 bytes alone, so the scan marks
+  // candidates in parallel 64 KiB segments on the shared HashPool, then
+  // applies the boundary rules in stream order; the boundaries equal a
+  // one-byte serial scan's. A hopping scan hashes each window with FNV.
+  // These are the optimizations the paper leaves as future work
+  // ("offloading the intensive hashing computations"). Boundary placement
+  // differs between modes (different hash functions) but both are
+  // content-defined.
   bool recompute_per_window = false;
-
-  // Boundary hash for the p==1 non-recompute scan (the write hot path).
-  // Ignored by hopping (p>1) and recompute scans, which hash whole windows
-  // (FNV / SHA-1) rather than rolling per byte. Boundary *placement*
-  // differs between the two (different hash functions); both are
-  // content-defined with the same expected chunk size.
-  CbchBoundaryHash boundary_hash = CbchBoundaryHash::kGear;
 
   bool overlap() const { return advance_p == 1; }
 };

@@ -1,17 +1,17 @@
-// Copy-on-write upload planning (paper §IV.C, "architectural support").
+// Copy-on-write upload plan (paper §IV.C, "architectural support").
 //
 // When a new version of a checkpoint image is written with incremental
 // checkpointing enabled, only chunks the system does not already store are
 // transferred; the new chunk map interleaves freshly uploaded chunks with
-// references to chunks persisted by earlier versions.
+// references to chunks persisted by earlier versions. An UploadPlan records
+// that split for one written image (ClientProxy::WriteFileDeduped).
 #pragma once
 
-#include <functional>
+#include <cstdint>
 #include <vector>
 
 #include "chkpt/chunker.h"
 #include "chunk/chunk.h"
-#include "common/status.h"
 
 namespace stdchk {
 
@@ -33,16 +33,5 @@ struct UploadPlan {
                        : 0.0;
   }
 };
-
-// Oracle answering "which of these chunk ids does the system already
-// store?" — in the functional cluster this is
-// MetadataManager::FilterKnownChunks.
-using KnownChunksFn =
-    std::function<Result<std::vector<bool>>(const std::vector<ChunkId>&)>;
-
-// Chunks + hashes `image` with `chunker`, queries the oracle once, and
-// marks each chunk novel or reusable.
-Result<UploadPlan> PlanUpload(ByteSpan image, const Chunker& chunker,
-                              const KnownChunksFn& known);
 
 }  // namespace stdchk

@@ -9,12 +9,10 @@
 namespace stdchk {
 
 ChunkPlanner::ChunkPlanner(std::shared_ptr<const Chunker> chunker,
-                           int hash_workers, WriteStats* stats,
-                           bool stamp_digests)
+                           int hash_workers, WriteStats* stats)
     : chunker_(std::move(chunker)),
       hash_workers_(HashPool::ResolveThreads(hash_workers)),
-      stats_(stats),
-      stamp_digests_(stamp_digests) {
+      stats_(stats) {
   assert(chunker_ != nullptr);
   scanner_ = chunker_->MakeScanner();
 }
@@ -51,49 +49,29 @@ std::vector<StagedChunk> ChunkPlanner::Drain(bool final) {
   out.reserve(sealed_ends.size());
   std::uint64_t start = buffer_start_;
   auto t0 = std::chrono::steady_clock::now();
-  if (hash_workers_ <= 1 || sealed_ends.size() < 2) {
-    // Serial path (N=1), unchanged from the single-threaded engine.
-    for (std::uint64_t end : sealed_ends) {
-      BufferSlice slice(backing,
-                        static_cast<std::size_t>(start - buffer_start_),
-                        static_cast<std::size_t>(end - start));
-      ChunkId id = ChunkId::For(slice.span());
-      // Downstream verifies compare the stamp instead of re-hashing.
-      if (stamp_digests_) slice.StampDigest(id.digest);
-      out.push_back(StagedChunk{id, std::move(slice)});
-      start = end;
-    }
-    if (stats_) stats_->hash_workers_peak =
-        std::max<std::uint64_t>(stats_->hash_workers_peak, 1);
-  } else {
-    // Slices are immutable views of one frozen generation, so naming them
-    // is embarrassingly parallel; each worker writes its slot, so the plan
-    // order (and therefore the committed chunk map) is byte-identical to
-    // the serial path.
-    for (std::uint64_t end : sealed_ends) {
-      BufferSlice slice(backing,
-                        static_cast<std::size_t>(start - buffer_start_),
-                        static_cast<std::size_t>(end - start));
-      out.push_back(StagedChunk{ChunkId{}, std::move(slice)});
-      start = end;
-    }
-    const bool stamp = stamp_digests_;
-    // Measured engagement, not the requested fan-out: a busy pool can
-    // leave the whole batch to this thread.
-    int used = HashPool::Shared().ParallelFor(
-        out.size(), hash_workers_, [&out, stamp](std::size_t i) {
-          out[i].id = ChunkId::For(out[i].data.span());
-          if (stamp) out[i].data.StampDigest(out[i].id.digest);
-        });
-    if (stats_) {
-      stats_->hash_workers_peak =
-          std::max<std::uint64_t>(stats_->hash_workers_peak,
-                                  static_cast<std::uint64_t>(used));
-      if (used > 1) ++stats_->hash_parallel_drains;
-    }
+  for (std::uint64_t end : sealed_ends) {
+    BufferSlice slice(backing, static_cast<std::size_t>(start - buffer_start_),
+                      static_cast<std::size_t>(end - start));
+    out.push_back(StagedChunk{ChunkId{}, std::move(slice)});
+    start = end;
   }
+  // Slices are immutable views of one frozen generation, so naming them is
+  // embarrassingly parallel; each task writes its own slot, so the plan
+  // order (and therefore the committed chunk map) is the same for every
+  // worker count. N=1 and one-chunk drains take ParallelFor's serial
+  // shortcut on this thread. The stamp lets downstream verifies compare
+  // digests instead of re-hashing. `used` is measured engagement, not the
+  // requested fan-out: a busy pool can leave the whole batch to this thread.
+  const int used = HashPool::Shared().ParallelFor(
+      out.size(), hash_workers_, [&out](std::size_t i) {
+        out[i].id = ChunkId::For(out[i].data.span());
+        out[i].data.StampDigest(out[i].id.digest);
+      });
   if (stats_) {
     auto t1 = std::chrono::steady_clock::now();
+    stats_->hash_workers_peak = std::max<std::uint64_t>(
+        stats_->hash_workers_peak, static_cast<std::uint64_t>(used));
+    if (used > 1) ++stats_->hash_parallel_drains;
     stats_->hash_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
     stats_->hash_chunks += sealed_ends.size();

@@ -38,13 +38,12 @@ struct StagedChunk {
 class ChunkPlanner {
  public:
   // `hash_workers` bounds the threads used to SHA-1-name each drain
-  // generation (0 = hardware concurrency, 1 = serial — see
-  // ClientOptions::hash_workers). Naming wall time and fan-out are recorded
-  // into `stats` when provided. `stamp_digests` mirrors
-  // ClientOptions::stamp_chunk_digests.
+  // generation (0 = the CPUs this process may run on, 1 = serial on the
+  // caller — see ClientOptions::hash_workers). Each staged slice carries
+  // its name's digest as a stamp. Naming wall time and fan-out are
+  // recorded into `stats` when provided.
   explicit ChunkPlanner(std::shared_ptr<const Chunker> chunker,
-                        int hash_workers = 1, WriteStats* stats = nullptr,
-                        bool stamp_digests = true);
+                        int hash_workers = 1, WriteStats* stats = nullptr);
 
   // Buffers more application data (checkpoint images arrive sequentially)
   // — the single materialization point of the write path. The boundary
@@ -66,7 +65,6 @@ class ChunkPlanner {
   std::shared_ptr<const Chunker> chunker_;
   int hash_workers_;         // resolved: >= 1
   WriteStats* stats_;        // optional naming accounting sink
-  bool stamp_digests_;
   std::unique_ptr<ChunkScanner> scanner_;
   Bytes buffer_;                 // bytes from the last drained boundary on
   std::uint64_t buffer_start_ = 0;  // absolute stream offset of buffer_[0]

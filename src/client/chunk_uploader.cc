@@ -168,7 +168,7 @@ Status ChunkUploader::EncodeShards() {
       put = ChunkPut(ids[s], std::move(slices[s]));
       put.group = p.chunk.id;
       put.shard_index = static_cast<std::int32_t>(s);
-      if (options_.stamp_chunk_digests) put.data.StampDigest(put.id.digest);
+      put.data.StampDigest(put.id.digest);
     }
   }
   return OkStatus();

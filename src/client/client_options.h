@@ -55,23 +55,15 @@ struct ClientOptions {
   // prototype integrates FsCH with chunker == transfer chunk size).
   bool incremental_fsch = false;
 
-  // Stamp each staged chunk's slice with the digest computed at naming
-  // time, so in-process verification hops (benefactor put admission,
-  // memory-store read integrity) compare digests instead of re-hashing —
-  // each byte is hashed once end to end. Slices that cross a
-  // re-materializing boundary (disk store, a real wire) lose the stamp and
-  // are re-hashed there regardless. Disable only to emulate the
-  // re-hash-per-hop data path (bench baselines).
-  bool stamp_chunk_digests = true;
-
   // Threads used to SHA-1-name the chunks of each drain generation
   // (including the session's own thread). Drain slices are immutable and
   // independent, so naming parallelizes safely; results are reassembled in
   // plan order, making the committed chunk map byte-identical for every
-  // setting. 0 = hardware concurrency; 1 = serial naming on the session's
-  // thread. Only naming reads this: the transport checks every unstamped
-  // read payload (disk donors), and the CbCH gear scan marks boundary
-  // candidates, on the shared HashPool whatever it says.
+  // setting. 0 = the number of CPUs this process may run on (its affinity
+  // mask); 1 = serial naming on the session's thread. Only naming reads
+  // this: the transport checks every unstamped read payload (disk donors),
+  // and the CbCH gear scan marks boundary candidates, on the shared
+  // HashPool whatever it says.
   int hash_workers = 0;
 
   // Replicas required at close() for pessimistic writes; also recorded as

@@ -37,8 +37,7 @@ ClientOptions ResolveOptions(MetadataManager* manager,
 WriteSession::WriteSession(MetadataManager* manager, Transport* transport,
                            CheckpointName name, ClientOptions options)
     : options_(ResolveOptions(manager, name, std::move(options))),
-      planner_(options_.chunker, options_.hash_workers, &stats_,
-               options_.stamp_chunk_digests),
+      planner_(options_.chunker, options_.hash_workers, &stats_),
       coordinator_(manager, transport, std::move(name), options_, &stats_),
       uploader_(transport, &coordinator_, options_, &stats_) {}
 

@@ -1,11 +1,18 @@
 #include "common/hash_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 namespace stdchk {
 
 int HashPool::ResolveThreads(int threads) {
   if (threads > 0) return threads;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    return std::max(1, CPU_COUNT(&allowed));
+  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -31,15 +38,8 @@ HashPool::~HashPool() {
 }
 
 HashPool& HashPool::Shared() {
-  static HashPool pool(-1);  // hardware concurrency
+  static HashPool pool(-1);  // the CPUs this process may run on
   return pool;
-}
-
-int HashPool::EffectiveWorkers(std::size_t n, int max_workers) const {
-  if (n <= 1 || max_workers <= 1) return 1;
-  std::size_t cap = std::min<std::size_t>(
-      {static_cast<std::size_t>(max_workers), workers_.size() + 1, n});
-  return static_cast<int>(std::max<std::size_t>(cap, 1));
 }
 
 bool HashPool::RunShare(BatchState& batch) {

@@ -32,21 +32,25 @@ class HashPool {
  public:
   // Pool for `threads`-way parallelism: spawns threads-1 persistent
   // workers, since the caller's thread always participates (0 = caller
-  // only; values < 0 mean hardware concurrency).
+  // only; values < 0 mean ResolveThreads' CPU count).
   explicit HashPool(int threads);
   ~HashPool();
 
   HashPool(const HashPool&) = delete;
   HashPool& operator=(const HashPool&) = delete;
 
-  // Process-wide pool sized to hardware concurrency, created on first use.
-  // Sessions share it: hashing is CPU-bound, so one pool per process is the
-  // right amount of parallelism regardless of how many writes are open.
+  // Process-wide pool sized to the CPUs this process may run on, created on
+  // first use. Sessions share it: hashing is CPU-bound, so one pool per
+  // process is the right amount of parallelism regardless of how many
+  // writes are open.
   static HashPool& Shared();
 
   // The shared "how many threads does N mean" rule: values <= 0 resolve to
-  // hardware concurrency (min 1). Used by the pool's own sizing and by
-  // callers resolving a requested fan-out (ClientOptions::hash_workers).
+  // the number of CPUs in the calling thread's affinity mask (min 1), or to
+  // hardware concurrency if the mask cannot be read. So a process pinned to
+  // one CPU runs serially instead of time-slicing workers on it. Used by
+  // the pool's own sizing and by callers resolving a requested fan-out
+  // (ClientOptions::hash_workers).
   static int ResolveThreads(int threads);
 
   int worker_threads() const { return static_cast<int>(workers_.size()); }
@@ -94,10 +98,6 @@ class HashPool {
   // more was allowed.
   int ParallelFor(std::size_t n, int max_workers,
                   const std::function<void(std::size_t)>& fn) EXCLUDES(mu_);
-
-  // Largest number of threads ParallelFor could use for a batch of n under
-  // this pool (caller + joinable workers) — the upper bound on its return.
-  int EffectiveWorkers(std::size_t n, int max_workers) const;
 
  private:
   // One spawned batch. Workers claim indices via next.fetch_add (the

@@ -11,31 +11,6 @@ std::uint64_t Mix64(std::uint64_t v) {
   return v;
 }
 
-RollingHash::RollingHash(std::size_t window) : window_(window) {
-  // The oldest byte's coefficient is kBase^(window-1); precompute it for
-  // O(1) removal in Roll().
-  base_pow_window_ = 1;
-  for (std::size_t i = 0; i + 1 < window_; ++i) base_pow_window_ *= kBase;
-}
-
-void RollingHash::Reset() { hash_ = 0; }
-
-void RollingHash::Push(std::uint8_t in) {
-  hash_ = hash_ * kBase + (static_cast<std::uint64_t>(in) + 1);
-}
-
-void RollingHash::Roll(std::uint8_t out, std::uint8_t in) {
-  hash_ -= (static_cast<std::uint64_t>(out) + 1) * base_pow_window_;
-  hash_ = hash_ * kBase + (static_cast<std::uint64_t>(in) + 1);
-}
-
-bool RollingHash::IsBoundary(int k_bits) const {
-  const std::uint64_t mask = (k_bits >= 64)
-                                 ? ~0ull
-                                 : ((1ull << k_bits) - 1);
-  return (Mix64(hash_) & mask) == 0;
-}
-
 namespace gear {
 namespace {
 

@@ -1,65 +1,28 @@
-// Rabin-Karp style polynomial rolling hash over a fixed window of m bytes.
+// Hash primitives for content-defined chunking and seeded placement.
 //
-// This is the primitive behind the CbCH (content-based compare-by-hash)
-// boundary detector (paper §IV.C, after LBFS): slide an m-byte window over
-// the file; declare a chunk boundary whenever the low k bits of the window
-// hash are all zero.
+// The gear rolling hash drives the CbCH (content-based compare-by-hash)
+// boundary scan (paper §IV.C, after LBFS): roll it over the file and
+// declare a chunk boundary wherever its top k bits are all zero. Mix64
+// decorrelates hash bits before they are masked or compared: the hopping
+// CbCH scans, the RNG's seed expansion, the catalog's shard hash and the
+// registry's stripe tiebreak use it.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <vector>
-
-#include "common/bytes.h"
 
 namespace stdchk {
 
-class RollingHash {
- public:
-  // `window` is m, the number of bytes covered by the hash.
-  explicit RollingHash(std::size_t window);
-
-  std::size_t window() const { return window_; }
-
-  // Resets to the empty-window state.
-  void Reset();
-
-  // Pushes one byte into the window. Once the window is full, the oldest
-  // byte must be provided via Roll() instead.
-  void Push(std::uint8_t in);
-
-  // Slides the window one byte: removes `out` (the byte leaving the window)
-  // and appends `in`.
-  void Roll(std::uint8_t out, std::uint8_t in);
-
-  std::uint64_t value() const { return hash_; }
-
-  // True when the low `k_bits` of the current hash are all zero — the CbCH
-  // chunk-boundary condition. The hash is mixed first so that low-entropy
-  // inputs (e.g. runs of zero bytes) do not degenerate.
-  bool IsBoundary(int k_bits) const;
-
-  // Polynomial base; public so inlined scan loops (chkpt/chunker.cc) can
-  // reproduce this hash exactly without a per-byte function call.
-  static constexpr std::uint64_t kBase = 0x100000001b3ull;
-
- private:
-  std::size_t window_;
-  std::uint64_t hash_ = 0;
-  std::uint64_t base_pow_window_;  // kBase^window, for removing old bytes
-};
-
-// 64-bit finalizer (splitmix64-style) used to decorrelate the polynomial
-// hash bits before masking.
+// 64-bit finalizer (splitmix64-style): a bijection that spreads every
+// input bit over the whole output.
 std::uint64_t Mix64(std::uint64_t v);
 
 // Gear/CDC rolling hash: h' = (h << 1) + kTable[byte]. One shift, one add,
 // one table lookup per byte — no multiplies, no explicit window ring (each
 // byte's contribution shifts out of the 64-bit state after 64 steps, so the
-// effective window is the last 64 bytes). The cheap replacement for the
-// polynomial-roll + Mix64 boundary scan in the CbCH hot loop; boundary
-// checks mask the TOP bits, which mix the whole effective window (the low
-// bits only see the most recent bytes).
+// effective window is the last 64 bytes). Boundary checks mask the TOP
+// bits, which mix the whole effective window (the low bits only see the
+// most recent bytes).
 namespace gear {
 
 // 256 pseudorandom 64-bit constants, fixed forever: chunk boundaries are

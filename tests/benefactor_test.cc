@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/hash_pool.h"
 #include "common/rng.h"
 
 namespace stdchk {
@@ -134,61 +139,75 @@ TEST_F(BenefactorTest, StashAndOfferRecoveredVersions) {
 }
 
 // Receive-side verify fan-out: batch admission re-hashes unstamped chunks
-// across the shared HashPool. Admission must be byte-identical for 1 vs N
-// workers — same statuses, same stored state — for clean and corrupt
-// batches alike.
-TEST(BenefactorVerifyFanOutTest, AdmissionIdenticalForOneAndManyWorkers) {
+// on the shared HashPool. Runs `body` on an idle pool, then again while
+// three threads loop ParallelFor on it, so admission checks run both on
+// pool workers and on the caller; the outcome must not depend on which.
+template <typename Body>
+void OnIdleAndBusyPool(const Body& body) {
+  {
+    SCOPED_TRACE("idle pool");
+    body();
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> hogs;
+  for (int t = 0; t < 3; ++t) {
+    hogs.emplace_back([&stop] {
+      std::vector<std::uint64_t> sink(64);
+      auto spin = [&sink](std::size_t i) {
+        std::uint64_t x = i;
+        for (int r = 0; r < 20000; ++r) x = x * 6364136223846793005ull + 1;
+        sink[i] = x;
+      };
+      while (!stop.load(std::memory_order_relaxed)) {
+        HashPool::Shared().ParallelFor(sink.size(),
+                                       static_cast<int>(sink.size()), spin);
+      }
+    });
+  }
+  {
+    SCOPED_TRACE("busy pool");
+    body();
+  }
+  stop.store(true);
+  for (std::thread& t : hogs) t.join();
+}
+
+// BufferSlice::Copy drops any stamp: every chunk pays the re-hash, like a
+// batch that crossed a re-materializing boundary.
+std::vector<ChunkPut> UnstampedBatch(const std::vector<Bytes>& payloads) {
+  std::vector<ChunkPut> batch;
+  for (const Bytes& data : payloads) {
+    batch.push_back(ChunkPut{ChunkId::For(data), BufferSlice::Copy(data)});
+  }
+  return batch;
+}
+
+TEST(BenefactorVerifyFanOutTest, UnstampedBatchAdmittedOnIdleAndBusyPool) {
   Rng rng(41);
   std::vector<Bytes> payloads;
   for (int i = 0; i < 32; ++i) payloads.push_back(rng.RandomBytes(1024));
 
-  auto make_batch = [&payloads]() {
-    std::vector<ChunkPut> batch;
+  OnIdleAndBusyPool([&payloads] {
+    Benefactor node("donor", MakeMemoryChunkStore(), 1_GiB);
+    Status status = node.PutChunkBatch(UnstampedBatch(payloads));
+    ASSERT_TRUE(status.ok()) << status;
+    ASSERT_EQ(node.ChunkCount(), payloads.size());
     for (const Bytes& data : payloads) {
-      // BufferSlice::Copy drops any stamp: every chunk pays the re-hash,
-      // like a batch that crossed a re-materializing boundary.
-      batch.push_back(ChunkPut{ChunkId::For(data), BufferSlice::Copy(data)});
+      auto got = node.GetChunk(ChunkId::For(data));
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got.value(), data);
     }
-    return batch;
-  };
-
-  Benefactor serial("serial", MakeMemoryChunkStore(), 1_GiB);
-  serial.set_verify_workers(1);
-  Benefactor fanned("fanned", MakeMemoryChunkStore(), 1_GiB);
-  fanned.set_verify_workers(8);
-
-  Status s = serial.PutChunkBatch(make_batch());
-  Status f = fanned.PutChunkBatch(make_batch());
-  EXPECT_TRUE(s.ok()) << s;
-  EXPECT_TRUE(f.ok()) << f;
-
-  ASSERT_EQ(serial.ChunkCount(), payloads.size());
-  ASSERT_EQ(fanned.ChunkCount(), payloads.size());
-  EXPECT_EQ(serial.BytesUsed(), fanned.BytesUsed());
-  for (const Bytes& data : payloads) {
-    ChunkId id = ChunkId::For(data);
-    auto a = serial.GetChunk(id);
-    auto b = fanned.GetChunk(id);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value(), b.value());
-  }
+  });
 }
 
-TEST(BenefactorVerifyFanOutTest, CorruptBatchRejectedIdenticallyAtAnyWidth) {
+TEST(BenefactorVerifyFanOutTest, CorruptBatchRejectedOnIdleAndBusyPool) {
   Rng rng(42);
   std::vector<Bytes> payloads;
   for (int i = 0; i < 16; ++i) payloads.push_back(rng.RandomBytes(512));
 
-  for (int workers : {1, 2, 8}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
+  OnIdleAndBusyPool([&payloads] {
     Benefactor node("donor", MakeMemoryChunkStore(), 1_GiB);
-    node.set_verify_workers(workers);
-
-    std::vector<ChunkPut> batch;
-    for (const Bytes& data : payloads) {
-      batch.push_back(ChunkPut{ChunkId::For(data), BufferSlice::Copy(data)});
-    }
+    std::vector<ChunkPut> batch = UnstampedBatch(payloads);
     // Mispair one chunk's content address, mid-batch.
     batch[7].id = ChunkId::For(ToBytes("not those bytes"));
 
@@ -196,7 +215,7 @@ TEST(BenefactorVerifyFanOutTest, CorruptBatchRejectedIdenticallyAtAnyWidth) {
     // Whole-batch admission: nothing landed.
     EXPECT_EQ(node.ChunkCount(), 0u);
     EXPECT_EQ(node.BytesUsed(), 0u);
-  }
+  });
 }
 
 TEST_F(BenefactorTest, StashWhileOfflineFails) {

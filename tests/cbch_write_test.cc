@@ -44,6 +44,50 @@ TEST_F(CbchWriteTest, FirstVersionUploadsEverything) {
   EXPECT_EQ(read_back.value(), image);
 }
 
+TEST_F(CbchWriteTest, EmptyImagePlansNoChunks) {
+  auto plan =
+      cluster_->client().WriteFileDeduped(Name(1), ByteSpan{}, chunker_);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_TRUE(plan->chunks.empty());
+  EXPECT_EQ(plan->total_bytes, 0u);
+}
+
+// The plan under FsCH: spans are named by their own bytes, and a short tail
+// is its own chunk.
+TEST_F(CbchWriteTest, FixedSizePlanNamesEverySpan) {
+  FixedSizeChunker fsch(1024);
+  Bytes image = rng_.RandomBytes(8 * 1024 + 17);
+  auto plan = cluster_->client().WriteFileDeduped(Name(1), image, fsch);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->reused_bytes(), 0u);
+  EXPECT_DOUBLE_EQ(plan->dedup_ratio(), 0.0);
+  ASSERT_EQ(plan->chunks.size(), 9u);
+  for (const PlannedChunk& pc : plan->chunks) {
+    EXPECT_EQ(pc.id, ChunkId::For(ByteSpan(image.data() + pc.span.offset,
+                                           pc.span.size)));
+  }
+  EXPECT_EQ(plan->chunks.back().span.size, 17u);
+}
+
+TEST_F(CbchWriteTest, FixedSizePlanReusesUnchangedChunks) {
+  FixedSizeChunker fsch(1024);
+  Bytes v1 = rng_.RandomBytes(8 * 1024);
+  ASSERT_TRUE(cluster_->client().WriteFileDeduped(Name(1), v1, fsch).ok());
+  // v2 changes every odd 1 KiB chunk and keeps the even ones.
+  Bytes v2 = v1;
+  for (std::size_t chunk = 1; chunk < 8; chunk += 2) {
+    v2[chunk * 1024] ^= 0xff;
+  }
+  auto plan = cluster_->client().WriteFileDeduped(Name(2), v2, fsch);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(plan->total_bytes, v2.size());
+  EXPECT_DOUBLE_EQ(plan->dedup_ratio(), 0.5);
+  ASSERT_EQ(plan->chunks.size(), 8u);
+  for (std::size_t i = 0; i < plan->chunks.size(); ++i) {
+    EXPECT_EQ(plan->chunks[i].novel, i % 2 == 1) << i;
+  }
+}
+
 TEST_F(CbchWriteTest, ShiftedVersionTransfersOnlyTheInsertion) {
   Bytes v1 = rng_.RandomBytes(256 * 1024);
   ASSERT_TRUE(cluster_->client().WriteFileDeduped(Name(1), v1, chunker_).ok());

@@ -289,11 +289,6 @@ TEST_P(CbchScannerTest, StreamingMatchesSplit) {
   }
 }
 
-CbchParams WithMix64(CbchParams params) {
-  params.boundary_hash = CbchBoundaryHash::kMix64Rolling;
-  return params;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Params, CbchScannerTest,
     ::testing::Values(
@@ -304,32 +299,20 @@ INSTANTIATE_TEST_SUITE_P(
         CbchParams{20, 10, 1, 16u << 20,
                    /*min_chunk=*/2048},              // gear min-chunk skip
         CbchParams{20, 12, 1, 16u << 20, 0, true},   // paper-style recompute
-        CbchParams{20, 12, 20, 16u << 20, 0, true},  // recompute, hopping
-        WithMix64(CbchParams{20, 10, 1}),            // Mix64 rolling overlap
-        WithMix64(CbchParams{20, 8, 1, 4096}),       // Mix64, forced
-        WithMix64(CbchParams{20, 10, 1, 16u << 20,
-                             /*min_chunk=*/2048})    // Mix64 min-chunk skip
+        CbchParams{20, 12, 20, 16u << 20, 0, true}   // recompute, hopping
         ));
 
-// Gear and Mix64 place boundaries differently (different hash functions)
-// but must agree on the content-defined contract: same expected density
-// (2^-k per inspected byte) and full coverage. Also pins that the two
-// scans genuinely differ, so the differential selector is not a no-op.
-TEST(CbchGearTest, GearAndMix64AreDistinctButComparablyDense) {
+// The content-defined contract on density: a boundary fires with
+// probability 2^-k per inspected byte, so on random content the average
+// chunk is about 2^k + m bytes.
+TEST(CbchGearTest, GearDensityMatchesMask) {
   Rng rng(36);
   Bytes data = rng.RandomBytes(1 << 20);
   ContentBasedChunker gear(CbchParams{20, 10, 1});
-  ContentBasedChunker mix(WithMix64(CbchParams{20, 10, 1}));
-
-  auto gear_spans = gear.Split(data);
-  auto mix_spans = mix.Split(data);
-  EXPECT_NE(SplitEnds(gear, data), SplitEnds(mix, data));
-
-  auto gear_stats = ComputeChunkSizeStats(gear_spans);
-  auto mix_stats = ComputeChunkSizeStats(mix_spans);
-  // Same k: average chunk sizes within 2x of each other (both ~2^k + m).
-  EXPECT_LT(gear_stats.avg_bytes, mix_stats.avg_bytes * 2);
-  EXPECT_LT(mix_stats.avg_bytes, gear_stats.avg_bytes * 2);
+  const double expected = 1024 + 20;
+  ChunkSizeStats stats = ComputeChunkSizeStats(gear.Split(data));
+  EXPECT_GT(stats.avg_bytes, expected / 2);
+  EXPECT_LT(stats.avg_bytes, expected * 2);
 }
 
 TEST(CbchGearTest, GearShiftResilienceMatchesContentDefinedContract) {
@@ -380,34 +363,6 @@ TEST(ChunkScannerTest, MinChunkEnforcesLowerBound) {
   for (std::size_t i = 0; i + 1 < spans.size(); ++i) {  // tail may be short
     EXPECT_GE(spans[i].size, params.min_chunk);
   }
-}
-
-// A default-constructed (generic) chunker falls back to the rescanning
-// adapter; it must still agree with Split.
-TEST(ChunkScannerTest, FallbackAdapterMatchesSplit) {
-  class EveryOtherByteChunker final : public Chunker {
-   public:
-    std::vector<ChunkSpan> Split(ByteSpan data) const override {
-      // Boundary after every byte whose value is even (content-defined,
-      // deliberately odd): exercises the adapter, not the heuristics.
-      std::vector<ChunkSpan> out;
-      std::uint64_t start = 0;
-      for (std::size_t i = 0; i < data.size(); ++i) {
-        if (data[i] % 2 == 0 || i + 1 == data.size()) {
-          out.push_back(
-              ChunkSpan{start, static_cast<std::uint32_t>(i + 1 - start)});
-          start = i + 1;
-        }
-      }
-      return out;
-    }
-    std::string name() const override { return "every-other"; }
-  };
-
-  Rng rng(35);
-  Bytes data = rng.RandomBytes(512);
-  EveryOtherByteChunker chunker;
-  EXPECT_EQ(ScanEnds(chunker, data, 9), SplitEnds(chunker, data));
 }
 
 // ---- Gear scanner against the serial oracle --------------------------------

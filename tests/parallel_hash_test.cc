@@ -6,6 +6,7 @@
 #include "common/hash_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -95,13 +96,26 @@ TEST(HashPoolTest, ConcurrentBatchesFromMultipleCallers) {
   }
 }
 
-TEST(HashPoolTest, EffectiveWorkersBounds) {
-  HashPool pool(4);  // 3 helper threads + caller
-  EXPECT_EQ(pool.EffectiveWorkers(100, 1), 1);
-  EXPECT_EQ(pool.EffectiveWorkers(1, 8), 1);
-  EXPECT_EQ(pool.EffectiveWorkers(100, 2), 2);
-  EXPECT_EQ(pool.EffectiveWorkers(100, 16), 4);  // pool caps at 4
-  EXPECT_EQ(pool.EffectiveWorkers(3, 16), 3);    // batch caps at n
+// A thread pinned to one CPU resolves the default fan-out to 1, not to the
+// host's CPU count, so a pinned process does not time-slice pool workers
+// on that CPU.
+TEST(HashPoolTest, ResolveThreadsCountsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int pinned_cpu = 0;
+  while (!CPU_ISSET(pinned_cpu, &saved)) ++pinned_cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(pinned_cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) {
+    GTEST_SKIP() << "sched_setaffinity refused";
+  }
+  const int pinned = HashPool::ResolveThreads(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1);
+  EXPECT_EQ(HashPool::ResolveThreads(0), CPU_COUNT(&saved));
+  EXPECT_EQ(HashPool::ResolveThreads(3), 3);
 }
 
 TEST(HashPoolTest, JoinRunsEveryIndexOnTheCallerOfAZeroWorkerPool) {
@@ -199,14 +213,20 @@ struct PlannedChunk {
 };
 
 // Streams `data` into a planner in `piece`-sized appends, draining every
-// `drain_every` appends (0 = only the final drain).
+// `drain_every` appends (0 = only the final drain). Every staged slice must
+// carry its name's digest as a stamp, whichever thread named it.
 std::vector<PlannedChunk> Plan(std::shared_ptr<const Chunker> chunker,
                                int hash_workers, ByteSpan data,
                                std::size_t piece, std::size_t drain_every) {
   ChunkPlanner planner(std::move(chunker), hash_workers);
   std::vector<PlannedChunk> out;
+  std::size_t unstamped = 0;
   auto take = [&](std::vector<StagedChunk> chunks) {
-    for (StagedChunk& c : chunks) out.push_back({c.id, c.data.size()});
+    for (StagedChunk& c : chunks) {
+      out.push_back({c.id, c.data.size()});
+      const Sha1Digest* stamp = c.data.stamped_digest();
+      if (stamp == nullptr || *stamp != c.id.digest) ++unstamped;
+    }
   };
   std::size_t pos = 0, appends = 0;
   while (pos < data.size()) {
@@ -218,6 +238,7 @@ std::vector<PlannedChunk> Plan(std::shared_ptr<const Chunker> chunker,
     }
   }
   take(planner.Drain(/*final=*/true));
+  EXPECT_EQ(unstamped, 0u) << "N=" << hash_workers;
   return out;
 }
 
@@ -255,14 +276,14 @@ TEST(ParallelHashDeterminismTest, PlannerMatchesSerialAcrossWorkersAndTiming) {
   Rng rng(2026);
   Bytes data = rng.RandomBytes(512 * 1024);
 
-  CbchParams gear;  // default boundary hash
+  CbchParams gear;
   gear.boundary_bits_k = 10;
-  CbchParams mix = gear;
-  mix.boundary_hash = CbchBoundaryHash::kMix64Rolling;
+  CbchParams hop = gear;
+  hop.advance_p = 20;
 
   // Each reference comes from outside the planner: the serial gear oracle,
-  // fixed-size arithmetic, and the unchanged Mix64 scan's one-shot split.
-  auto mix_chunker = std::make_shared<ContentBasedChunker>(mix);
+  // fixed-size arithmetic, and the hopping scan's one-shot split.
+  auto hop_chunker = std::make_shared<ContentBasedChunker>(hop);
   struct Case {
     std::shared_ptr<const Chunker> chunker;
     std::vector<std::uint64_t> ends;
@@ -271,7 +292,7 @@ TEST(ParallelHashDeterminismTest, PlannerMatchesSerialAcrossWorkersAndTiming) {
       {std::make_shared<FixedSizeChunker>(8192), FixedEnds(data.size(), 8192)},
       {std::make_shared<ContentBasedChunker>(gear),
        SerialGearEnds(gear, data)},
-      {mix_chunker, SplitEnds(*mix_chunker, data)},
+      {hop_chunker, SplitEnds(*hop_chunker, data)},
   };
 
   for (const Case& c : cases) {
