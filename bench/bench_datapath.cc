@@ -9,7 +9,8 @@
 //               SHA-1, gear-hash CbCH boundary scan, parallel drain naming.
 //   hashN     — FsCH with the drain-naming fan-out pinned to N threads
 //               (the paper's "offload the intensive hashing" lever; N=1 is
-//               the serial engine).
+//               the serial engine), fed in 8 MiB writes so each drain has
+//               8 chunks to name.
 //   disk      — benefactors persist chunks in the log-structured segment
 //               store; proves disk reads are zero-copy (BufferSlice views
 //               of the mmap'd segments, no materialization at all).
@@ -36,6 +37,11 @@ namespace {
 
 constexpr std::size_t kImageBytes = 64_MiB;
 constexpr std::size_t kWritePiece = 256_KiB;
+// The hashN sweep's application write. A sliding-window drain seals what
+// one write completes: 256 KiB writes seal at most one 1 MiB chunk per
+// drain, so naming never fans out and every row runs one worker. 8 MiB
+// writes give each drain 8 chunks to name across N workers.
+constexpr std::size_t kSweepWritePiece = 8_MiB;
 
 // Pre-PR seed tree (commit da87164, Bytes-valued data path + textbook
 // scalar SHA-1) measured with this exact harness on the dev machine.
@@ -87,7 +93,8 @@ struct RunResult {
   std::uint64_t disk_mmap_reads = 0;
 };
 
-RunResult RunDatapath(ClientOptions client, bool disk, const Bytes& data) {
+RunResult RunDatapath(ClientOptions client, bool disk, const Bytes& data,
+                      std::size_t write_piece = kWritePiece) {
   ClusterOptions options;
   options.benefactor_count = 8;
   options.client = client;
@@ -120,7 +127,7 @@ RunResult RunDatapath(ClientOptions client, bool disk, const Bytes& data) {
     auto t0 = std::chrono::steady_clock::now();
     std::size_t pos = 0;
     while (pos < data.size()) {
-      std::size_t n = std::min(kWritePiece, data.size() - pos);
+      std::size_t n = std::min(write_piece, data.size() - pos);
       if (!session.value()->Write(ByteSpan(data.data() + pos, n)).ok()) {
         return out;
       }
@@ -204,7 +211,8 @@ int main() {
   for (int i = 0; i < 3; ++i) {
     ClientOptions opts = fsch;
     opts.hash_workers = kWorkerSweep[i];
-    fsch_by_workers[i] = RunDatapath(opts, /*disk=*/false, image);
+    fsch_by_workers[i] =
+        RunDatapath(opts, /*disk=*/false, image, kSweepWritePiece);
     char label[32];
     std::snprintf(label, sizeof label, "FsCH(1MiB)/hash%d", kWorkerSweep[i]);
     Report(label, "fsch", fsch_by_workers[i]);
@@ -232,8 +240,12 @@ int main() {
   bench::PrintRow("  CbCH gear write vs recorded Mix64 scan (%.2f MB/s): %.2fx",
                   kRecordedMix64CbchWriteMbps, cbch_gear_vs_mix);
   bench::PrintRow("  FsCH write, 4 hashing workers vs 1: %.2fx "
-                  "(workers engaged: %llu)",
+                  "(workers engaged hash1/hash2/hash4: %llu/%llu/%llu)",
                   fsch_hash4_vs_hash1,
+                  static_cast<unsigned long long>(
+                      fsch_by_workers[0].write_stats.hash_workers_peak),
+                  static_cast<unsigned long long>(
+                      fsch_by_workers[1].write_stats.hash_workers_peak),
                   static_cast<unsigned long long>(
                       fsch_by_workers[2].write_stats.hash_workers_peak));
   bench::PrintRow("  FsCH write payload copies (chunker -> store): %llu",

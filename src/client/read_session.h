@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <set>
@@ -66,8 +67,15 @@ class ReadSession {
   Result<std::size_t> ReadAt(std::uint64_t offset, MutableByteSpan out)
       EXCLUDES(mu_);
 
-  // Convenience: the whole file.
-  Result<Bytes> ReadAll();
+  // The whole file, as one restart image. The chunks land in it in file
+  // order, each copied once from the cache: the image is reserved, not
+  // zero-filled, and its whole 2 MiB pages are advised for transparent
+  // huge pages before the first byte is written, so a 64 MiB image takes
+  // about 540 page faults instead of 16k (31 huge pages, plus 4 KiB pages
+  // for the two ends that share a 2 MiB page with other memory). Holds
+  // the session mutex for the whole walk; a chunk that cannot be fetched
+  // fails the call with that chunk's error, never a partial image.
+  Result<Bytes> ReadAll() EXCLUDES(mu_);
 
   // Snapshot of the accounting, copied under the session mutex so a reader
   // concurrent with ReadAt sees a consistent struct.
@@ -103,6 +111,11 @@ class ReadSession {
   // remains — a drop may have been transient, so exhausted blacklists are
   // cleared and re-swept under a bounded per-chunk failover budget).
   Result<NodeId> PickReplica(std::size_t index) REQUIRES(mu_);
+  // The one chunk walk behind ReadAt and ReadAll: hands `sink` every piece
+  // of [offset, offset + length) in file order, straight from the cache
+  // (stopping early only at a hole or at the end of the chunk map).
+  Status Walk(std::uint64_t offset, std::uint64_t length,
+              const std::function<void(ByteSpan)>& sink) REQUIRES(mu_);
   // Fills the in-flight window for demand position `demand`, coalescing
   // same-replica chunks into batch GETs. Errors only if the demand chunk
   // itself has no fetchable replica; read-ahead failures stay soft.
@@ -115,7 +128,7 @@ class ReadSession {
   Status HarvestOne(std::size_t demand) REQUIRES(mu_);
   // Blocks until chunk `index` is cached (pumping + harvesting the window).
   // The returned pointer aliases the cache; it stays valid only while mu_
-  // is held (ReadAt copies out before unlocking).
+  // is held (Walk hands each piece to its sink before the lock drops).
   Result<const BufferSlice*> ChunkData(std::size_t index) REQUIRES(mu_);
   // Fetches and reassembles an erasure-coded chunk: concurrent GETs for its
   // k data shards (each on its own benefactor — the striped-read
@@ -132,9 +145,9 @@ class ReadSession {
   VersionRecord record_;
   ClientOptions options_;
 
-  // Session lock: one ReadAt (window pump + harvest + cache) runs at a
-  // time, and the stats accessors snapshot under it. Ranks below the
-  // transport because HarvestOne waits on completions while holding it.
+  // Session lock: one ReadAt or ReadAll (window pump + harvest + cache)
+  // runs at a time, and the stats accessors snapshot under it. Ranks below
+  // the transport because HarvestOne waits on completions while holding it.
   mutable Mutex mu_{LockRank::kClientReadSession, 0, "read_session"};
 
   ReadStats stats_ GUARDED_BY(mu_);
@@ -152,7 +165,7 @@ class ReadSession {
   std::map<std::size_t, std::set<NodeId>> failed_replicas_
       GUARDED_BY(mu_);  // per chunk
   std::map<std::size_t, std::size_t> fetch_attempts_
-      GUARDED_BY(mu_);  // failed, per ReadAt
+      GUARDED_BY(mu_);  // failed, per Walk
   // Retry alone after a batch rejection.
   std::set<std::size_t> singles_only_ GUARDED_BY(mu_);
   std::size_t rr_replica_ GUARDED_BY(mu_) = 0;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "common/rng.h"
 #include "core/cluster.h"
 
@@ -9,6 +16,25 @@ namespace stdchk {
 namespace {
 
 CheckpointName Name(std::uint64_t t) { return CheckpointName{"app", "n1", t}; }
+
+// The VmFlags line of the /proc/self/smaps mapping that holds `addr`, or
+// "" if no mapping does.
+std::string VmFlagsAt(std::uintptr_t addr) {
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    std::uintptr_t lo = 0, hi = 0;
+    char dash = 0;
+    std::istringstream range(line);
+    if (range >> std::hex >> lo >> dash >> hi && dash == '-') {
+      inside = lo <= addr && addr < hi;
+    } else if (inside && line.rfind("VmFlags:", 0) == 0) {
+      return line;
+    }
+  }
+  return "";
+}
 
 class ReadSessionTest : public ::testing::Test {
  protected:
@@ -88,6 +114,89 @@ TEST_F(ReadSessionTest, SequentialReadsUseReadAheadCache) {
   // Every chunk is fetched exactly once thanks to caching + read-ahead.
   EXPECT_EQ(session.value()->chunks_fetched(), 11u);
   EXPECT_GT(session.value()->cache_hits(), 0u);
+}
+
+TEST_F(ReadSessionTest, ReadAllAfterPartialReadAtUsesTheCache) {
+  auto session = cluster_->client().OpenFile(Name(1));
+  ASSERT_TRUE(session.ok());
+  Bytes head(512);
+  auto n = session.value()->ReadAt(0, MutableByteSpan(head));
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(n.value(), head.size());
+  auto all = session.value()->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all.value(), data_);
+  // Chunk 0 and its read-ahead were cached by the ReadAt.
+  EXPECT_GT(session.value()->cache_hits(), 0u);
+  EXPECT_EQ(session.value()->chunks_fetched(), 11u);
+}
+
+TEST_F(ReadSessionTest, ReadAllFailsWithTheLostChunksError) {
+  // Three chunks on a stripe of three: losing the middle chunk's donors
+  // leaves the first and last readable.
+  Bytes data = rng_.RandomBytes(3 * 1024);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(60), data).ok());
+  auto record = cluster_->manager().GetVersion(Name(60));
+  ASSERT_TRUE(record.ok());
+  const auto& chunks = record.value().chunk_map.chunks;
+  ASSERT_EQ(chunks.size(), 3u);
+  for (NodeId node : chunks[1].replicas) {
+    for (std::size_t c : {0u, 2u}) {
+      ASSERT_EQ(std::count(chunks[c].replicas.begin(),
+                           chunks[c].replicas.end(), node),
+                0);
+    }
+    for (std::size_t i = 0; i < cluster_->benefactor_count(); ++i) {
+      if (cluster_->benefactor(i).id() == node) {
+        cluster_->benefactor(i).Crash();
+      }
+    }
+  }
+
+  auto all = cluster_->client().ReadFile(Name(60));
+  ASSERT_FALSE(all.ok());
+  EXPECT_EQ(all.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(all.status().message().find(chunks[1].id.ToHex()),
+            std::string::npos)
+      << all.status();
+}
+
+TEST_F(ReadSessionTest, ReadAllOfEmptyFileIssuesNoGet) {
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(70), Bytes{}).ok());
+  auto session = cluster_->client().OpenFile(Name(70));
+  ASSERT_TRUE(session.ok()) << session.status();
+  std::uint64_t rpcs = cluster_->transport().rpc_count();
+  auto all = session.value()->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_TRUE(all.value().empty());
+  EXPECT_EQ(cluster_->transport().rpc_count(), rpcs);
+  ReadStats stats = session.value()->stats();
+  EXPECT_EQ(stats.single_gets + stats.batch_gets, 0u);
+  EXPECT_EQ(stats.chunks_fetched, 0u);
+}
+
+TEST_F(ReadSessionTest, ReadAllImageIsHugePageEligible) {
+  if (!std::filesystem::exists("/sys/kernel/mm/transparent_hugepage")) {
+    GTEST_SKIP() << "kernel without transparent huge pages";
+  }
+  ClientOptions options = cluster_->client().options();
+  options.chunk_size = 1 << 20;
+  auto client = cluster_->MakeClient(options);
+  Bytes data = rng_.RandomBytes((5 << 20) + 123);
+  ASSERT_TRUE(client->WriteFile(Name(80), data).ok());
+  auto all = client->ReadFile(Name(80));
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all.value(), data);
+
+  // Any 4 MiB range holds a whole 2 MiB page; its first one must sit in a
+  // mapping advised for huge pages ("hg").
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  auto start = reinterpret_cast<std::uintptr_t>(all.value().data());
+  std::uintptr_t interior = (start + kHugePage - 1) & ~(kHugePage - 1);
+  ASSERT_LE(interior + kHugePage, start + all.value().size());
+  std::string flags = VmFlagsAt(interior);
+  ASSERT_FALSE(flags.empty()) << "no smaps mapping holds the image";
+  EXPECT_NE(flags.find(" hg"), std::string::npos) << flags;
 }
 
 TEST_F(ReadSessionTest, OpenMissingVersionFails) {
