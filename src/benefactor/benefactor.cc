@@ -35,25 +35,6 @@ std::uint64_t Benefactor::FreeBytes() const {
   return used >= capacity_bytes_ ? 0 : capacity_bytes_ - used;
 }
 
-Status Benefactor::PutChunk(const ChunkId& id, BufferSlice data) {
-  STDCHK_RETURN_IF_ERROR(CheckOnline());
-  // Stamped slices verify by digest compare; unstamped pay the re-hash.
-  // Debug builds re-check the stamp against the bytes: the release path
-  // trusts the process-local stamp, so an upstream id/slice mispairing
-  // would otherwise sail through both admission and read verification.
-  assert(!data.stamped_digest() ||
-         Sha1(data.span()) == *data.stamped_digest());
-  if (ChunkId::For(data) != id) {
-    return DataLossError("chunk content does not match its address " +
-                         id.ToHex());
-  }
-  MutexLock lock(mu_);
-  if (!store_->Contains(id) && store_->BytesUsed() + data.size() > capacity_bytes_) {
-    return ResourceExhaustedError("benefactor " + host_ + " is full");
-  }
-  return store_->Put(id, std::move(data));
-}
-
 Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
   STDCHK_RETURN_IF_ERROR(CheckOnline());
   // Admission control over the whole batch: verify every content address
@@ -81,6 +62,9 @@ Status Benefactor::PutChunkBatch(std::span<const ChunkPut> puts) {
   for (const ChunkPut& put : puts) {
     ChunkId actual;
     if (put.data.stamped_digest() != nullptr) {
+      // Debug builds re-check the stamp against the bytes: the release
+      // path trusts the process-local stamp, so an upstream id/slice
+      // mispairing would otherwise pass both admission and read checks.
       assert(Sha1(put.data.span()) == *put.data.stamped_digest());
       actual = ChunkId{*put.data.stamped_digest()};
     } else {

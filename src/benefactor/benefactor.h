@@ -6,15 +6,18 @@
 // manager's live set. They additionally stash uncommitted chunk maps to
 // support the manager-recovery protocol.
 //
-// Threading: the data path (PutChunk/ReadChunk/GetChunk/HasChunk) and the
-// stash are safe for concurrent use. Transports call them from many client
-// threads at once, while a single background pump (core/StdchkCluster::Tick
-// or core/BackgroundDriver) runs JoinPool, the GC exchange and stash
-// offers. The chunk store locks internally and the online flag is atomic;
-// mu_ makes each admission's capacity check and store put one step, and
-// guards the stash. Content-address verification runs outside mu_; on the
-// read side it is the static VerifyChunk, which a transport may run on
-// another thread after ReadChunk returns.
+// Every chunk reaches a benefactor through PutChunkBatch, called by the
+// transport for client puts, replication copies and shard repair alike.
+//
+// Threading: the data path (PutChunkBatch/ReadChunk/GetChunk/HasChunk) and
+// the stash are safe for concurrent use. Transports call them from many
+// client threads at once, while a single background pump
+// (core/StdchkCluster::Tick or core/BackgroundDriver) runs JoinPool, the GC
+// exchange and stash offers. The chunk store locks internally and the
+// online flag is atomic; mu_ makes each admission's capacity check and
+// store put one step, and guards the stash. Content-address verification
+// runs outside mu_; on the read side it is the static VerifyChunk, which a
+// transport may run on another thread after ReadChunk returns.
 #pragma once
 
 #include <atomic>
@@ -53,26 +56,20 @@ class Benefactor {
   // Disk scavenged space was wiped (or the disk failed): contents are gone.
   void Wipe() EXCLUDES(mu_);
 
-  // ---- Data path (invoked by clients / replication) -----------------------
-  // Verifies that `data` hashes to `id` before storing — content
-  // addressability doubles as an integrity check (§IV.C). The slice is
+  // ---- Data path (invoked by clients / replication / repair) --------------
+  // The one put admission: one RPC admits one or more chunks (a single
+  // chunk is a batch of one). Each chunk must hash to its id before
+  // anything is stored — content addressability doubles as an integrity
+  // check (§IV.C). Integrity and capacity are verified for the whole batch
+  // before any chunk lands, so a batch rejected at admission stores nothing
+  // and the client's failover can re-route it wholesale. The slices are
   // handed to the store as-is: a memory-backed donor aliases the sender's
-  // buffer, never copies it.
-  Status PutChunk(const ChunkId& id, BufferSlice data) EXCLUDES(mu_);
-  // Borrowed-bytes convenience (tests, tools): copies once, then as above.
-  Status PutChunk(const ChunkId& id, ByteSpan data) {
-    return PutChunk(id, BufferSlice::Copy(data));
-  }
-
-  // Batched data path: one RPC admits many chunks. Integrity and capacity
-  // are verified for the whole batch before any chunk lands, so a batch
-  // rejected at admission stores nothing and the client's failover can
-  // re-route it wholesale. (A store-level I/O failure mid-batch may leave
-  // earlier chunks behind — they are content addressed, so they either
-  // become usable replicas or GC-reclaimable orphans.) Unstamped chunks
-  // re-hash in parallel on the shared HashPool, as wide as the process may
-  // run (HashPool::ResolveThreads); admission results are the same for any
-  // width. The store receives the batch as one PutBatch call.
+  // buffers, never copies them. (A store-level I/O failure mid-batch may
+  // leave earlier chunks behind — they are content addressed, so they
+  // either become usable replicas or GC-reclaimable orphans.) Unstamped
+  // chunks re-hash in parallel on the shared HashPool, as wide as the
+  // process may run (HashPool::ResolveThreads); admission results are the
+  // same for any width. The store receives the batch as one PutBatch call.
   Status PutChunkBatch(std::span<const ChunkPut> puts) EXCLUDES(mu_);
 
   // The in-order half of a read: the online check and the store lookup,
@@ -126,23 +123,10 @@ class Benefactor {
   // under-utilized disk segments / memory generation backings and hands
   // dead bytes back (donated space, so dead bytes are not free — §IV.A).
   // Pacing is the caller's job: the background pump calls this once per
-  // tick and the policy's max_bytes_per_step bounds each pass.
-  Result<CompactionStepReport> CompactStep() {
-    STDCHK_RETURN_IF_ERROR(CheckOnline());
-    return store_->CompactStep(compaction_policy_);
-  }
+  // tick with its policy, whose max_bytes_per_step bounds each pass.
   Result<CompactionStepReport> CompactStep(const CompactionPolicy& policy) {
     STDCHK_RETURN_IF_ERROR(CheckOnline());
     return store_->CompactStep(policy);
-  }
-
-  // Pacing knobs for the background pump's per-tick pass (threshold,
-  // per-step rewrite budget). Takes effect on the next CompactStep().
-  void set_compaction_policy(const CompactionPolicy& policy) {
-    compaction_policy_ = policy;
-  }
-  const CompactionPolicy& compaction_policy() const {
-    return compaction_policy_;
   }
 
  private:
@@ -156,7 +140,6 @@ class Benefactor {
   std::uint64_t capacity_bytes_;
   NodeId id_ = kInvalidNode;
   std::atomic<bool> online_{true};
-  CompactionPolicy compaction_policy_;  // background-pump pacing knobs
 
   struct Stashed {
     VersionRecord record;

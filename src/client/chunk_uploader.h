@@ -61,7 +61,6 @@ class ChunkUploader {
   // at the benefactor).
   Status Flush();
 
-  std::uint64_t pending_bytes() const { return pending_bytes_; }
   std::size_t pending_chunks() const { return pending_.size(); }
 
  private:

@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 
-#include "chkpt/upload_plan.h"
 #include "client/transport.h"
 #include "client/client_options.h"
 #include "client/read_session.h"
@@ -23,7 +22,6 @@ class ClientProxy {
       : manager_(manager), transport_(transport), options_(options) {}
 
   const ClientOptions& options() const { return options_; }
-  void set_options(const ClientOptions& options) { options_ = options; }
 
   // Opens a new checkpoint image for writing. Fails if the version already
   // exists (images are immutable, single-producer).
@@ -36,15 +34,6 @@ class ClientProxy {
   // Writes an entire image in one call (what the FUSE layer does for the
   // common write-then-close pattern).
   Result<CloseOutcome> WriteFile(const CheckpointName& name, ByteSpan data);
-
-  // Whole-image write with dedup under an arbitrary chunking heuristic —
-  // extends the prototype's FsCH integration to content-defined (CbCH)
-  // chunking, which needs the full image to place boundaries. Only chunks
-  // the system does not already store are transferred; the committed map
-  // mixes fresh uploads with references to existing chunks. Returns the
-  // upload plan actually executed (novel/reused byte counts).
-  Result<UploadPlan> WriteFileDeduped(const CheckpointName& name,
-                                      ByteSpan data, const Chunker& chunker);
 
   // Opens a committed image for reading.
   Result<std::unique_ptr<ReadSession>> OpenFile(const CheckpointName& name);

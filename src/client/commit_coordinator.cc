@@ -141,13 +141,12 @@ Status CommitCoordinator::StashOnStripe(const VersionRecord& record) {
   if (!have_reservation_) {
     return FailedPreconditionError("no stripe to stash on (empty write)");
   }
+  const int width = static_cast<int>(reservation_.stripe.size());
   std::size_t stashed = 0;
   for (NodeId node : reservation_.stripe) {
-    if (transport_->StashChunkMap(node, record,
-                               static_cast<int>(reservation_.stripe.size()))
-            .ok()) {
-      ++stashed;
-    }
+    Result<OpCompletion> done = transport_->Wait(
+        transport_->Submit(ChunkOp::Stash(node, record, width)));
+    if (done.ok() && done.value().status.ok()) ++stashed;
   }
   if (stashed == 0) {
     return UnavailableError("could not stash chunk map on any benefactor");

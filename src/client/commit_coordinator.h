@@ -39,7 +39,6 @@ class CommitCoordinator {
   // extension RPCs amortize over the batch.
   Status EnsureReservation(std::uint64_t upcoming);
   void ConsumeReserved(std::uint64_t bytes);
-  bool have_reservation() const { return have_reservation_; }
   const std::vector<NodeId>& stripe() const { return reservation_.stripe; }
 
   // Stripe failover: swap `dead` for a fresh donor via the manager, which

@@ -123,34 +123,32 @@ Status ReadSession::PumpWindow(std::size_t demand) {
     inflight_chunks_.insert(i);
   }
 
+  // One GET carries `indices`' chunks from `node`.
+  auto submit = [&](NodeId node, std::vector<std::size_t> indices) {
+    std::vector<ChunkId> ids;
+    ids.reserve(indices.size());
+    for (std::size_t i : indices) ids.push_back(chunks[i].id);
+    if (indices.size() == 1) {
+      ++stats_.single_gets;
+    } else {
+      ++stats_.batch_gets;
+    }
+    OpHandle h = transport_->Submit(ChunkOp::GetBatch(node, std::move(ids)));
+    inflight_.emplace(h, Fetch{std::move(indices), node});
+  };
   for (auto& [node, indices] : queues) {
-    // Chunks flagged for solo retry (after a batch rejection) go out as
-    // individual GETs so failures are attributed precisely; the rest of a
-    // node's window share one batch GET.
+    // Chunks flagged for solo retry (after a batch rejection) go out alone
+    // so failures are attributed precisely; the rest of a node's window
+    // share one GET.
     std::vector<std::size_t> batchable;
     for (std::size_t i : indices) {
       if (singles_only_.contains(i)) {
-        OpHandle h =
-            transport_->Submit(ChunkOp::Get(node, chunks[i].id));
-        inflight_.emplace(h, Fetch{{i}, node});
-        ++stats_.single_gets;
+        submit(node, {i});
       } else {
         batchable.push_back(i);
       }
     }
-    if (batchable.size() == 1) {
-      OpHandle h =
-          transport_->Submit(ChunkOp::Get(node, chunks[batchable[0]].id));
-      inflight_.emplace(h, Fetch{std::move(batchable), node});
-      ++stats_.single_gets;
-    } else if (batchable.size() > 1) {
-      std::vector<ChunkId> ids;
-      ids.reserve(batchable.size());
-      for (std::size_t i : batchable) ids.push_back(chunks[i].id);
-      OpHandle h = transport_->Submit(ChunkOp::GetBatch(node, std::move(ids)));
-      inflight_.emplace(h, Fetch{std::move(batchable), node});
-      ++stats_.batch_gets;
-    }
+    if (!batchable.empty()) submit(node, std::move(batchable));
   }
   stats_.inflight_peak = std::max(stats_.inflight_peak,
                                   inflight_chunks_.size());
@@ -171,13 +169,9 @@ Status ReadSession::HarvestOne(std::size_t demand) {
     // The node answered: rehabilitate it if a drop had marked it dead, and
     // let its chunks batch again — both marks describe transient states.
     dead_nodes_.erase(fetch.node);
-    if (fetch.indices.size() == 1) {
-      singles_only_.erase(fetch.indices[0]);
-      Insert(fetch.indices[0], std::move(c.data));
-    } else {
-      for (std::size_t j = 0; j < fetch.indices.size(); ++j) {
-        Insert(fetch.indices[j], std::move(c.batch[j]));
-      }
+    if (fetch.indices.size() == 1) singles_only_.erase(fetch.indices[0]);
+    for (std::size_t j = 0; j < fetch.indices.size(); ++j) {
+      Insert(fetch.indices[j], std::move(c.batch[j]));
     }
     stats_.chunks_fetched += fetch.indices.size();
     EvictToBudget(demand);
@@ -268,7 +262,7 @@ Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
   auto submit = [&](int s) -> bool {
     const ShardLocation& sl = loc.shards[static_cast<std::size_t>(s)];
     if (sl.node == kInvalidNode) return false;  // departed, awaiting repair
-    OpHandle h = transport_->Submit(ChunkOp::Get(sl.node, sl.id));
+    OpHandle h = transport_->Submit(ChunkOp::GetBatch(sl.node, {sl.id}));
     pending.emplace(h, s);
     ++stats_.single_gets;
     return true;
@@ -292,7 +286,7 @@ Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
     const NodeId node = loc.shards[static_cast<std::size_t>(s)].node;
     if (c.status.ok()) {
       dead_nodes_.erase(node);
-      got[static_cast<std::size_t>(s)] = std::move(c.data);
+      got[static_cast<std::size_t>(s)] = std::move(c.batch.front());
       ++have;
       ++stats_.shard_fetches;
       if (s >= k) ++stats_.parity_shard_fetches;

@@ -5,11 +5,13 @@
 //
 // The engine keeps a bounded window of chunk fetches in flight — the demand
 // chunk plus ClientOptions::read_ahead_chunks of read-ahead — overlapping
-// transfers across distinct benefactors. Chunks of the window that land on
-// the same replica are coalesced into one GetChunkBatch RPC. Replica
-// selection round-robins over each chunk's replica set, skips nodes already
-// observed dead this session before paying a failed RPC (retrying them only
-// as a last resort), and fails over per chunk. The read-ahead cache is
+// transfers across distinct benefactors. Every fetch is one GET op
+// (ChunkOp::GetBatch) carrying one or more chunk ids: chunks of the window
+// that land on the same replica share one, and a chunk retried alone or an
+// erasure shard rides one of its own. Replica selection round-robins over
+// each chunk's replica set, skips nodes already observed dead this session
+// before paying a failed RPC (retrying them only as a last resort), and
+// fails over per chunk. The read-ahead cache is
 // bounded by ClientOptions::read_cache_budget_bytes; evictions show up in
 // ReadStats.
 #pragma once
@@ -35,8 +37,8 @@ struct ReadStats {
   std::uint64_t cache_hits = 0;      // demand chunk already cached at ReadAt
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_bytes_peak = 0;
-  std::uint64_t single_gets = 0;  // GetChunk ops issued
-  std::uint64_t batch_gets = 0;   // GetChunkBatch ops issued
+  std::uint64_t single_gets = 0;  // GET ops issued carrying one chunk
+  std::uint64_t batch_gets = 0;   // GET ops issued carrying more than one
   std::uint64_t failovers = 0;    // chunk fetches retried after a failure
   std::uint64_t dead_replica_skips = 0;  // replicas skipped as observed-dead
   std::size_t inflight_peak = 0;  // engine's overlap high watermark (chunks)
@@ -117,7 +119,7 @@ class ReadSession {
   Status Walk(std::uint64_t offset, std::uint64_t length,
               const std::function<void(ByteSpan)>& sink) REQUIRES(mu_);
   // Fills the in-flight window for demand position `demand`, coalescing
-  // same-replica chunks into batch GETs. Errors only if the demand chunk
+  // same-replica chunks into one GET per node. Errors only if the demand chunk
   // itself has no fetchable replica; read-ahead failures stay soft.
   Status PumpWindow(std::size_t demand) REQUIRES(mu_);
   // Delivers one completion: caches payloads, or records the failure and

@@ -4,28 +4,11 @@
 
 namespace stdchk {
 
-ChunkOp ChunkOp::Put(NodeId node, const ChunkId& id, BufferSlice data) {
-  ChunkOp op;
-  op.type = ChunkOpType::kPutChunk;
-  op.node = node;
-  op.id = id;
-  op.data = std::move(data);
-  return op;
-}
-
 ChunkOp ChunkOp::PutBatch(NodeId node, std::vector<ChunkPut> puts) {
   ChunkOp op;
   op.type = ChunkOpType::kPutChunkBatch;
   op.node = node;
   op.puts = std::move(puts);
-  return op;
-}
-
-ChunkOp ChunkOp::Get(NodeId node, const ChunkId& id) {
-  ChunkOp op;
-  op.type = ChunkOpType::kGetChunk;
-  op.node = node;
-  op.id = id;
   return op;
 }
 
@@ -53,52 +36,6 @@ ChunkOp ChunkOp::Copy(const ChunkId& id, NodeId source, NodeId target) {
   op.target = target;
   op.id = id;
   return op;
-}
-
-Status Transport::PutChunk(NodeId node, const ChunkId& id, BufferSlice data) {
-  OpHandle h = Submit(ChunkOp::Put(node, id, std::move(data)));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  return c.status;
-}
-
-Status Transport::PutChunk(NodeId node, const ChunkId& id, ByteSpan data) {
-  return PutChunk(node, id, BufferSlice::Copy(data));
-}
-
-Status Transport::PutChunkBatch(NodeId node, std::span<const ChunkPut> puts) {
-  OpHandle h = Submit(
-      ChunkOp::PutBatch(node, std::vector<ChunkPut>(puts.begin(), puts.end())));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  return c.status;
-}
-
-Result<BufferSlice> Transport::GetChunk(NodeId node, const ChunkId& id) {
-  OpHandle h = Submit(ChunkOp::Get(node, id));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  if (!c.status.ok()) return c.status;
-  return std::move(c.data);
-}
-
-Result<std::vector<BufferSlice>> Transport::GetChunkBatch(
-    NodeId node, std::span<const ChunkId> ids) {
-  OpHandle h = Submit(
-      ChunkOp::GetBatch(node, std::vector<ChunkId>(ids.begin(), ids.end())));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  if (!c.status.ok()) return c.status;
-  return std::move(c.batch);
-}
-
-Status Transport::StashChunkMap(NodeId node, const VersionRecord& record,
-                                int stripe_width) {
-  OpHandle h = Submit(ChunkOp::Stash(node, record, stripe_width));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  return c.status;
-}
-
-Status Transport::CopyChunk(const ChunkId& id, NodeId source, NodeId target) {
-  OpHandle h = Submit(ChunkOp::Copy(id, source, target));
-  STDCHK_ASSIGN_OR_RETURN(OpCompletion c, Wait(h));
-  return c.status;
 }
 
 }  // namespace stdchk

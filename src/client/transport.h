@@ -11,8 +11,10 @@
 // pay off. Implementations model time on the sim clock (sim/LinkModel), so
 // the same functional code path reproduces paper-figure timing.
 //
-// Synchronous callers use the non-virtual convenience wrappers below
-// (Submit + Wait per call).
+// Every cross-node side effect is one op of four kinds: a batch PUT, a
+// batch GET, a chunk-map stash and a donor-to-donor copy. A single chunk
+// travels as a batch of one. Client I/O, background replication and shard
+// repair all Submit; Wait(Submit(op)) is the blocking form.
 #pragma once
 
 #include <cstdint>
@@ -27,32 +29,30 @@
 namespace stdchk {
 
 enum class ChunkOpType {
-  kPutChunk,
   kPutChunkBatch,
-  kGetChunk,
   kGetChunkBatch,
   kStashChunkMap,
   kCopyChunk,
 };
 
-// One submission. Build via the factory helpers. Payloads (`data`, the
-// slices inside `puts`) are ref-counted views shared with the caller's
-// staging buffers — submitting an op never copies payload bytes, and the
-// receiving node may alias the same buffers.
+// One submission. Build via the factory helpers. The slices inside `puts`
+// are ref-counted views shared with the caller's staging buffers —
+// submitting an op never copies payload bytes, and the receiving node may
+// alias the same buffers.
 struct ChunkOp {
-  ChunkOpType type = ChunkOpType::kGetChunk;
+  ChunkOpType type = ChunkOpType::kGetChunkBatch;
   NodeId node = kInvalidNode;    // target node (source node for kCopyChunk)
   NodeId target = kInvalidNode;  // kCopyChunk destination
-  ChunkId id{};                  // kPutChunk / kGetChunk / kCopyChunk
-  BufferSlice data;              // kPutChunk payload
+  ChunkId id{};                  // kCopyChunk
+  // Carried by no op. bench/suite's TimedTransport still adds it to an
+  // op's payload bytes, so it goes with the next change to the benchmark.
+  BufferSlice data;
   std::vector<ChunkPut> puts;    // kPutChunkBatch payload
   std::vector<ChunkId> ids;      // kGetChunkBatch request
   VersionRecord record;          // kStashChunkMap (owned copy)
   int stripe_width = 0;          // kStashChunkMap
 
-  static ChunkOp Put(NodeId node, const ChunkId& id, BufferSlice data);
   static ChunkOp PutBatch(NodeId node, std::vector<ChunkPut> puts);
-  static ChunkOp Get(NodeId node, const ChunkId& id);
   static ChunkOp GetBatch(NodeId node, std::vector<ChunkId> ids);
   static ChunkOp Stash(NodeId node, VersionRecord record, int stripe_width);
   static ChunkOp Copy(const ChunkId& id, NodeId source, NodeId target);
@@ -67,12 +67,11 @@ inline constexpr OpHandle kInvalidOpHandle = 0;
 // the serving node's buffers — delivery never copies chunk bytes.
 struct OpCompletion {
   OpHandle handle = kInvalidOpHandle;
-  ChunkOpType type = ChunkOpType::kGetChunk;
+  ChunkOpType type = ChunkOpType::kGetChunkBatch;
   NodeId node = kInvalidNode;
   Status status;                   // per-op outcome
-  BufferSlice data;                // kGetChunk payload
-  std::vector<BufferSlice> batch;  // kGetChunkBatch payload (parallel to
-                                   // op.ids)
+  std::vector<BufferSlice> batch;  // kGetChunkBatch payload, one slice per
+                                   // requested id; empty unless ok
 };
 
 class Transport {
@@ -104,19 +103,6 @@ class Transport {
 
   // Ops submitted but not yet delivered/cancelled.
   virtual std::size_t InFlight() const = 0;
-
-  // ---- Synchronous conveniences (Submit + Wait per call) -------------------
-  // The ByteSpan PutChunk copies borrowed bytes into an owned slice first;
-  // slice-passing callers pay nothing.
-  Status PutChunk(NodeId node, const ChunkId& id, BufferSlice data);
-  Status PutChunk(NodeId node, const ChunkId& id, ByteSpan data);
-  Status PutChunkBatch(NodeId node, std::span<const ChunkPut> puts);
-  Result<BufferSlice> GetChunk(NodeId node, const ChunkId& id);
-  Result<std::vector<BufferSlice>> GetChunkBatch(NodeId node,
-                                                 std::span<const ChunkId> ids);
-  Status StashChunkMap(NodeId node, const VersionRecord& record,
-                       int stripe_width);
-  Status CopyChunk(const ChunkId& id, NodeId source, NodeId target);
 };
 
 }  // namespace stdchk

@@ -76,14 +76,14 @@ Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
   std::vector<std::optional<ByteSpan>> views(
       static_cast<std::size_t>(cmd.ec_k) + cmd.ec_m);
   for (std::size_t i = 0; i < cmd.source_ids.size(); ++i) {
-    Benefactor* source = FindBenefactor(cmd.source_nodes[i]);
-    if (source == nullptr) {
-      return UnavailableError("shard-repair source departed");
-    }
-    // GetChunk verifies the shard against its content address — a corrupt
-    // source fails here instead of poisoning the rebuild.
-    STDCHK_ASSIGN_OR_RETURN(fetched[i],
-                            source->GetChunk(cmd.source_ids[i]));
+    // The transport verifies the shard against its content address — a
+    // corrupt source fails here instead of poisoning the rebuild.
+    STDCHK_ASSIGN_OR_RETURN(
+        OpCompletion got,
+        transport_.Wait(transport_.Submit(
+            ChunkOp::GetBatch(cmd.source_nodes[i], {cmd.source_ids[i]}))));
+    STDCHK_RETURN_IF_ERROR(got.status);
+    fetched[i] = std::move(got.batch.front());
     views[static_cast<std::size_t>(cmd.source_indices[i])] =
         fetched[i].span();
   }
@@ -101,12 +101,12 @@ Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
     return DataLossError("rebuilt shard failed content verification");
   }
 
-  Benefactor* target = FindBenefactor(cmd.target);
-  if (target == nullptr) {
-    return UnavailableError("shard-repair target departed");
-  }
-  return target->PutChunk(cmd.missing_id,
-                          BufferSlice(BufferRef::Take(std::move(rebuilt))));
+  BufferSlice shard(BufferRef::Take(std::move(rebuilt)));
+  STDCHK_ASSIGN_OR_RETURN(
+      OpCompletion stored,
+      transport_.Wait(transport_.Submit(
+          ChunkOp::PutBatch(cmd.target, {{cmd.missing_id, shard}}))));
+  return stored.status;
 }
 
 StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
@@ -137,9 +137,11 @@ StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
   std::vector<ReplicationCommand> commands = manager_->TickReplication();
   report.replication_commands = commands.size();
   for (const ReplicationCommand& cmd : commands) {
-    Status copied = transport_.CopyChunk(cmd.chunk, cmd.source, cmd.target);
-    if (!copied.ok()) ++report.replication_failures;
-    (void)manager_->AckReplication(cmd, copied.ok());
+    Result<OpCompletion> copied = transport_.Wait(
+        transport_.Submit(ChunkOp::Copy(cmd.chunk, cmd.source, cmd.target)));
+    bool ok = copied.ok() && copied.value().status.ok();
+    if (!ok) ++report.replication_failures;
+    (void)manager_->AckReplication(cmd, ok);
   }
 
   // 4b. Shard repair: rebuild erasure-coded shards whose holder departed,

@@ -94,9 +94,10 @@ class StdchkCluster {
   std::size_t Settle(std::size_t max_ticks = 64);
 
  private:
-  // Executes one shard-repair command: fetches the k source shards,
-  // reconstructs the missing one, verifies it against its content address,
-  // and stores it on the target benefactor.
+  // Executes one shard-repair command through the transport: GETs the k
+  // source shards, reconstructs the missing one, verifies it against its
+  // content address, and PUTs it to the target benefactor. Link cuts, loss
+  // draws and the traffic counters see a rebuild like any client op.
   Status ExecuteShardRepair(const ShardRepairCommand& cmd);
 
   ClusterOptions options_;

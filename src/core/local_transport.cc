@@ -25,11 +25,6 @@ void LocalTransport::SetLossRate(NodeId node, double p) {
   loss_rate_[node] = p;
 }
 
-void LocalTransport::SetDefaultLinkModel(sim::LinkModel model) {
-  MutexLock lock(mu_);
-  default_link_ = model;
-}
-
 void LocalTransport::SetLinkModel(NodeId node, sim::LinkModel model) {
   MutexLock lock(mu_);
   links_[node] = model;
@@ -83,8 +78,9 @@ Result<Benefactor*> LocalTransport::RouteLocked(NodeId node) {
 }
 
 const sim::LinkModel& LocalTransport::LinkLocked(NodeId node) const {
+  static constexpr sim::LinkModel kZeroLink{};
   auto it = links_.find(node);
-  return it != links_.end() ? it->second : default_link_;
+  return it != links_.end() ? it->second : kZeroLink;
 }
 
 Result<Benefactor*> LocalTransport::Route(NodeId node) {
@@ -113,11 +109,7 @@ struct LocalTransport::ReadCheck {
     if (!out.status.ok()) return;
     // The completion aliases the benefactor's stored buffers — the modeled
     // wire charged the bytes, the process never copies them.
-    if (out.type == ChunkOpType::kGetChunk) {
-      out.data = std::move(payloads.front());
-    } else {
-      out.batch = std::move(payloads);
-    }
+    out.batch = std::move(payloads);
   }
 };
 
@@ -131,18 +123,13 @@ LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
   }
   Benefactor* node = routed.value();
   switch (op.type) {
-    case ChunkOpType::kPutChunk:
-      // The bytes hit the wire whether or not the node admits them.
-      out.status = node->PutChunk(op.id, op.data);
-      return {op.data.size(), op.data.size()};
     case ChunkOpType::kPutChunkBatch: {
+      // The bytes hit the wire whether or not the node admits them.
       std::uint64_t total = 0;
       for (const ChunkPut& put : op.puts) total += put.data.size();
       out.status = node->PutChunkBatch(op.puts);
       return {total, total};
     }
-    case ChunkOpType::kGetChunk:
-      return Read(*node, std::span<const ChunkId>(&op.id, 1), p);
     case ChunkOpType::kGetChunkBatch:
       return Read(*node, op.ids, p);
     case ChunkOpType::kStashChunkMap:
@@ -162,8 +149,11 @@ LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
         out.status = dst.status();
         return {size, size};
       }
-      // In-process replication shares the source node's buffer outright.
-      out.status = dst.value()->PutChunk(op.id, std::move(got).value());
+      // In-process replication shares the source node's buffer outright;
+      // the target admits it as a batch of one, like any other put.
+      ChunkPut put{op.id, std::move(got).value()};
+      out.status =
+          dst.value()->PutChunkBatch(std::span<const ChunkPut>(&put, 1));
       return {size, 2 * size};
     }
   }

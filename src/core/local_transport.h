@@ -2,21 +2,24 @@
 // (client/transport.h) between clients and benefactors, with fault
 // injection and modeled link timing.
 //
-// This is the functional stand-in for the desktop grid's LAN. Execution is
-// eager and in submission order: an op's routing, benefactor side effect
-// and GET lookups happen at Submit(), on the submitting thread, which
-// keeps runs deterministic. One piece runs later: the content check of
-// unstamped GET payloads (disk reads, compacted memory chunks), a pure
-// function of immutable bytes, is handed to the shared HashPool at Submit
-// and joined before the completion is delivered, so one reader's window
-// of GETs verifies in parallel. Completion *delivery* follows the modeled
-// clock: each node's access link (sim/LinkModel) serializes its own ops
-// and charges latency + bytes/bandwidth, while ops on distinct nodes
-// overlap. With the default zero-cost links the clock never moves and the
-// transport behaves like the old synchronous one; with per-node models
-// configured from perf/PlatformModel, pipelined callers finish in a
-// fraction of the serial caller's modeled time — the paper-figure benches
-// measure exactly that.
+// This is the functional stand-in for the desktop grid's LAN. Every
+// cross-node transfer is one op through it: client puts and gets, the
+// background pump's replication copies, and shard repair's reads and
+// rebuilt-shard write. So link cuts, loss draws and the traffic counters
+// see all of them. Execution is eager and in submission order: an op's
+// routing, benefactor side effect and GET lookups happen at Submit(), on
+// the submitting thread, which keeps runs deterministic. One piece runs
+// later: the content check of unstamped GET payloads (disk reads,
+// compacted memory chunks), a pure function of immutable bytes, is handed
+// to the shared HashPool at Submit and joined before the completion is
+// delivered, so one reader's window of GETs verifies in parallel.
+// Completion *delivery* follows the modeled clock: each node's access link
+// (sim/LinkModel) serializes its own ops and charges latency +
+// bytes/bandwidth, while ops on distinct nodes overlap. With the default
+// zero-cost links the clock never moves; with per-node models configured
+// from perf/PlatformModel, pipelined callers finish in a fraction of the
+// serial caller's modeled time — the paper-figure benches measure exactly
+// that.
 //
 // Thread-safety: all operations are safe for concurrent use. The mutex
 // guards only the transport's own bookkeeping: handle allocation, routing
@@ -64,9 +67,8 @@ class LocalTransport final : public Transport {
   void SetLossRate(NodeId node, double p);
 
   // ---- Link timing model ---------------------------------------------------
-  // Applies to nodes without an explicit per-node model. The zero default
-  // keeps the modeled clock at 0 (timing-free functional tests).
-  void SetDefaultLinkModel(sim::LinkModel model);
+  // A node without a model of its own gets the zero link, which keeps the
+  // modeled clock at 0 (timing-free functional tests).
   void SetLinkModel(NodeId node, sim::LinkModel model);
   // Modeled time: advanced by Wait/WaitAny as completions are harvested.
   SimTime now() const;
@@ -140,7 +142,6 @@ class LocalTransport final : public Transport {
   std::set<NodeId> unreachable_ GUARDED_BY(mu_);
   std::map<NodeId, double> loss_rate_ GUARDED_BY(mu_);
   std::map<NodeId, sim::LinkModel> links_ GUARDED_BY(mu_);
-  sim::LinkModel default_link_ GUARDED_BY(mu_){};
   std::map<NodeId, SimTime> link_busy_until_ GUARDED_BY(mu_);
   Rng rng_ GUARDED_BY(mu_);
 

@@ -223,7 +223,6 @@ class FileCatalog {
   Status Import(const ExportedState& state);
 
   // ---- Shard observability -------------------------------------------------
-  int shard_count() const { return static_cast<int>(folder_shards_.size()); }
   // Entry i merges folder shard i and chunk shard i.
   std::vector<CatalogShardStats> ShardStatsSnapshot() const;
 

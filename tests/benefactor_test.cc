@@ -12,6 +12,12 @@
 namespace stdchk {
 namespace {
 
+// One chunk as a batch of one, the only put a benefactor admits.
+Status PutOne(Benefactor& node, const ChunkId& id, ByteSpan data) {
+  ChunkPut put{id, BufferSlice::Copy(data)};
+  return node.PutChunkBatch(std::span<const ChunkPut>(&put, 1));
+}
+
 class BenefactorTest : public ::testing::Test {
  protected:
   BenefactorTest()
@@ -34,14 +40,14 @@ TEST_F(BenefactorTest, PutVerifiesContentAddress) {
   Bytes data = ToBytes("checkpoint chunk data");
   ChunkId right = ChunkId::For(data);
   ChunkId wrong = ChunkId::For(ToBytes("other"));
-  EXPECT_TRUE(benefactor_.PutChunk(right, data).ok());
-  EXPECT_EQ(benefactor_.PutChunk(wrong, data).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(PutOne(benefactor_, right, data).ok());
+  EXPECT_EQ(PutOne(benefactor_, wrong, data).code(), StatusCode::kDataLoss);
 }
 
 TEST_F(BenefactorTest, GetVerifiesIntegrity) {
   Bytes data = ToBytes("some bytes");
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(benefactor_.PutChunk(id, data).ok());
+  ASSERT_TRUE(PutOne(benefactor_, id, data).ok());
   auto got = benefactor_.GetChunk(id);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got.value(), data);
@@ -51,8 +57,8 @@ TEST_F(BenefactorTest, CapacityEnforced) {
   Rng rng(1);
   Bytes big = rng.RandomBytes(3000);
   Bytes more = rng.RandomBytes(2000);
-  ASSERT_TRUE(benefactor_.PutChunk(ChunkId::For(big), big).ok());
-  EXPECT_EQ(benefactor_.PutChunk(ChunkId::For(more), more).code(),
+  ASSERT_TRUE(PutOne(benefactor_, ChunkId::For(big), big).ok());
+  EXPECT_EQ(PutOne(benefactor_, ChunkId::For(more), more).code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(benefactor_.FreeBytes(), 4096u - 3000u);
 }
@@ -61,20 +67,20 @@ TEST_F(BenefactorTest, RePutOfExistingChunkBypassesCapacityCheck) {
   Rng rng(2);
   Bytes data = rng.RandomBytes(4000);
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(benefactor_.PutChunk(id, data).ok());
+  ASSERT_TRUE(PutOne(benefactor_, id, data).ok());
   // Same chunk again: no additional space needed.
-  EXPECT_TRUE(benefactor_.PutChunk(id, data).ok());
+  EXPECT_TRUE(PutOne(benefactor_, id, data).ok());
   EXPECT_EQ(benefactor_.ChunkCount(), 1u);
 }
 
 TEST_F(BenefactorTest, CrashRejectsOperationsButKeepsData) {
   Bytes data = ToBytes("persist me");
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(benefactor_.PutChunk(id, data).ok());
+  ASSERT_TRUE(PutOne(benefactor_, id, data).ok());
 
   benefactor_.Crash();
   EXPECT_FALSE(benefactor_.online());
-  EXPECT_EQ(benefactor_.PutChunk(id, data).code(), StatusCode::kUnavailable);
+  EXPECT_EQ(PutOne(benefactor_, id, data).code(), StatusCode::kUnavailable);
   EXPECT_EQ(benefactor_.GetChunk(id).status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(benefactor_.HasChunk(id));  // unavailable while down
 
@@ -86,7 +92,7 @@ TEST_F(BenefactorTest, CrashRejectsOperationsButKeepsData) {
 TEST_F(BenefactorTest, WipeDestroysData) {
   Bytes data = ToBytes("gone");
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(benefactor_.PutChunk(id, data).ok());
+  ASSERT_TRUE(PutOne(benefactor_, id, data).ok());
   benefactor_.Wipe();
   benefactor_.Restart();
   EXPECT_FALSE(benefactor_.HasChunk(id));
@@ -103,7 +109,7 @@ TEST_F(BenefactorTest, HeartbeatRequiresJoin) {
 TEST_F(BenefactorTest, RunGcDeletesWhatManagerSays) {
   ASSERT_TRUE(benefactor_.JoinPool(manager_).ok());
   Bytes orphan = ToBytes("orphan chunk");
-  ASSERT_TRUE(benefactor_.PutChunk(ChunkId::For(orphan), orphan).ok());
+  ASSERT_TRUE(PutOne(benefactor_, ChunkId::For(orphan), orphan).ok());
 
   auto reclaimed = benefactor_.RunGc(manager_);
   ASSERT_TRUE(reclaimed.ok());

@@ -19,6 +19,12 @@ Bytes MakeData(std::size_t n, std::uint64_t seed) {
   return rng.RandomBytes(n);
 }
 
+// One chunk as a batch of one, the only put a benefactor admits.
+Status PutOne(Benefactor& node, const ChunkId& id, BufferSlice data) {
+  ChunkPut put{id, std::move(data)};
+  return node.PutChunkBatch(std::span<const ChunkPut>(&put, 1));
+}
+
 TEST(BufferRefTest, TakeAdoptsWithoutCopy) {
   Bytes data = MakeData(1024, 1);
   const std::uint8_t* raw = data.data();
@@ -151,12 +157,12 @@ TEST(StampedVerificationTest, BenefactorStillRejectsUnstampedMismatch) {
   Bytes evil = MakeData(300, 24);
   ChunkId good_id = ChunkId::For(good);
 
-  EXPECT_EQ(node.PutChunk(good_id, BufferSlice::Copy(evil)).code(),
+  EXPECT_EQ(PutOne(node, good_id, BufferSlice::Copy(evil)).code(),
             StatusCode::kDataLoss);
 
   BufferSlice stamped = BufferSlice::Copy(good);
   stamped.StampDigest(good_id.digest);
-  EXPECT_TRUE(node.PutChunk(good_id, stamped).ok());
+  EXPECT_TRUE(PutOne(node, good_id, stamped).ok());
 
   // Read-back of the memory store's stamped slice verifies by compare and
   // returns the original bytes.
@@ -226,7 +232,7 @@ TEST(StoreBufferLifetimeTest, BenefactorGetSurvivesWipe) {
   Benefactor node("donor", MakeMemoryChunkStore(), 1_GiB);
   Bytes data = MakeData(512, 11);
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(node.PutChunk(id, BufferSlice::Copy(data)).ok());
+  ASSERT_TRUE(PutOne(node, id, BufferSlice::Copy(data)).ok());
 
   auto got = node.GetChunk(id);
   ASSERT_TRUE(got.ok());

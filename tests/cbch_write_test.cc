@@ -19,23 +19,44 @@ class CbchWriteTest : public ::testing::Test {
     cluster_ = std::make_unique<StdchkCluster>(options);
   }
 
+  // Writes `image` as version `t` in one session the way an incremental
+  // checkpointer does: CLW, compare-by-hash dedup, `chunker`'s boundaries.
+  // The closed session's chunk map, reuse flags and stats say what moved.
+  Result<std::unique_ptr<WriteSession>> WriteDeduped(
+      std::uint64_t t, ByteSpan image,
+      std::shared_ptr<const Chunker> chunker) {
+    ClientOptions options = cluster_->client().options();
+    options.protocol = WriteProtocol::kCompleteLocal;
+    options.incremental_fsch = true;
+    options.chunker = std::move(chunker);
+    STDCHK_ASSIGN_OR_RETURN(
+        auto session, cluster_->client().CreateFileWith(Name(t), options));
+    STDCHK_RETURN_IF_ERROR(session->Write(image));
+    STDCHK_RETURN_IF_ERROR(session->Close().status());
+    return session;
+  }
+
   std::unique_ptr<StdchkCluster> cluster_;
   Rng rng_{61};
-  ContentBasedChunker chunker_{CbchParams{20, 11, 1}};  // ~2 KB chunks
+  std::shared_ptr<const Chunker> chunker_ =
+      std::make_shared<ContentBasedChunker>(CbchParams{20, 11, 1});  // ~2 KB
 };
 
 TEST_F(CbchWriteTest, FirstVersionUploadsEverything) {
   Bytes image = rng_.RandomBytes(256 * 1024);
-  auto plan = cluster_->client().WriteFileDeduped(Name(1), image, chunker_);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->total_bytes, image.size());
-  EXPECT_EQ(plan->novel_bytes, image.size());
-  ASSERT_FALSE(plan->chunks.empty());
+  auto written = WriteDeduped(1, image, chunker_);
+  ASSERT_TRUE(written.ok()) << written.status();
+  const WriteSession& session = *written.value();
+  const WriteStats& stats = session.stats();
+  EXPECT_EQ(stats.bytes_written, image.size());
+  EXPECT_EQ(stats.bytes_written - stats.bytes_deduplicated, image.size());
+  const std::vector<ChunkLocation>& chunks = session.chunk_map().chunks;
+  ASSERT_FALSE(chunks.empty());
   std::uint64_t offset = 0;
-  for (const PlannedChunk& pc : plan->chunks) {
-    EXPECT_TRUE(pc.novel);
-    EXPECT_EQ(pc.span.offset, offset);
-    offset += pc.span.size;
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    EXPECT_FALSE(session.chunk_reused()[i]);
+    EXPECT_EQ(chunks[i].file_offset, offset);
+    offset += chunks[i].size;
   }
   EXPECT_EQ(offset, image.size());
 
@@ -45,52 +66,60 @@ TEST_F(CbchWriteTest, FirstVersionUploadsEverything) {
 }
 
 TEST_F(CbchWriteTest, EmptyImagePlansNoChunks) {
-  auto plan =
-      cluster_->client().WriteFileDeduped(Name(1), ByteSpan{}, chunker_);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_TRUE(plan->chunks.empty());
-  EXPECT_EQ(plan->total_bytes, 0u);
+  auto written = WriteDeduped(1, ByteSpan{}, chunker_);
+  ASSERT_TRUE(written.ok()) << written.status();
+  EXPECT_TRUE(written.value()->chunk_map().chunks.empty());
+  EXPECT_EQ(written.value()->stats().bytes_written, 0u);
 }
 
-// The plan under FsCH: spans are named by their own bytes, and a short tail
-// is its own chunk.
+// Under FsCH: spans are named by their own bytes, and a short tail is its
+// own chunk.
 TEST_F(CbchWriteTest, FixedSizePlanNamesEverySpan) {
-  FixedSizeChunker fsch(1024);
+  auto fsch = std::make_shared<FixedSizeChunker>(1024);
   Bytes image = rng_.RandomBytes(8 * 1024 + 17);
-  auto plan = cluster_->client().WriteFileDeduped(Name(1), image, fsch);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->reused_bytes(), 0u);
-  EXPECT_DOUBLE_EQ(plan->dedup_ratio(), 0.0);
-  ASSERT_EQ(plan->chunks.size(), 9u);
-  for (const PlannedChunk& pc : plan->chunks) {
-    EXPECT_EQ(pc.id, ChunkId::For(ByteSpan(image.data() + pc.span.offset,
-                                           pc.span.size)));
+  auto written = WriteDeduped(1, image, fsch);
+  ASSERT_TRUE(written.ok()) << written.status();
+  const WriteStats& stats = written.value()->stats();
+  EXPECT_EQ(stats.bytes_deduplicated, 0u);
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_deduplicated) /
+                       static_cast<double>(stats.bytes_written),
+                   0.0);
+  const std::vector<ChunkLocation>& chunks =
+      written.value()->chunk_map().chunks;
+  ASSERT_EQ(chunks.size(), 9u);
+  for (const ChunkLocation& c : chunks) {
+    EXPECT_EQ(c.id, ChunkId::For(ByteSpan(image.data() + c.file_offset,
+                                          c.size)));
   }
-  EXPECT_EQ(plan->chunks.back().span.size, 17u);
+  EXPECT_EQ(chunks.back().size, 17u);
 }
 
 TEST_F(CbchWriteTest, FixedSizePlanReusesUnchangedChunks) {
-  FixedSizeChunker fsch(1024);
+  auto fsch = std::make_shared<FixedSizeChunker>(1024);
   Bytes v1 = rng_.RandomBytes(8 * 1024);
-  ASSERT_TRUE(cluster_->client().WriteFileDeduped(Name(1), v1, fsch).ok());
+  ASSERT_TRUE(WriteDeduped(1, v1, fsch).ok());
   // v2 changes every odd 1 KiB chunk and keeps the even ones.
   Bytes v2 = v1;
   for (std::size_t chunk = 1; chunk < 8; chunk += 2) {
     v2[chunk * 1024] ^= 0xff;
   }
-  auto plan = cluster_->client().WriteFileDeduped(Name(2), v2, fsch);
-  ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_EQ(plan->total_bytes, v2.size());
-  EXPECT_DOUBLE_EQ(plan->dedup_ratio(), 0.5);
-  ASSERT_EQ(plan->chunks.size(), 8u);
-  for (std::size_t i = 0; i < plan->chunks.size(); ++i) {
-    EXPECT_EQ(plan->chunks[i].novel, i % 2 == 1) << i;
+  auto written = WriteDeduped(2, v2, fsch);
+  ASSERT_TRUE(written.ok()) << written.status();
+  const WriteStats& stats = written.value()->stats();
+  EXPECT_EQ(stats.bytes_written, v2.size());
+  EXPECT_DOUBLE_EQ(static_cast<double>(stats.bytes_deduplicated) /
+                       static_cast<double>(stats.bytes_written),
+                   0.5);
+  const std::vector<bool>& reused = written.value()->chunk_reused();
+  ASSERT_EQ(written.value()->chunk_map().chunks.size(), 8u);
+  for (std::size_t i = 0; i < reused.size(); ++i) {
+    EXPECT_EQ(!reused[i], i % 2 == 1) << i;
   }
 }
 
 TEST_F(CbchWriteTest, ShiftedVersionTransfersOnlyTheInsertion) {
   Bytes v1 = rng_.RandomBytes(256 * 1024);
-  ASSERT_TRUE(cluster_->client().WriteFileDeduped(Name(1), v1, chunker_).ok());
+  ASSERT_TRUE(WriteDeduped(1, v1, chunker_).ok());
 
   // v2 = v1 with 1000 bytes inserted near the front — the FsCH killer.
   Bytes v2;
@@ -99,14 +128,18 @@ TEST_F(CbchWriteTest, ShiftedVersionTransfersOnlyTheInsertion) {
   Append(v2, inserted);
   Append(v2, ByteSpan(v1.data() + 10'000, v1.size() - 10'000));
 
-  auto plan = cluster_->client().WriteFileDeduped(Name(2), v2, chunker_);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_GT(plan->dedup_ratio(), 0.9);  // nearly everything reused
-  EXPECT_LT(plan->novel_bytes, 20'000u);
-  // The per-chunk plan marks the reused spans.
+  auto written = WriteDeduped(2, v2, chunker_);
+  ASSERT_TRUE(written.ok());
+  const WriteStats& stats = written.value()->stats();
+  EXPECT_GT(static_cast<double>(stats.bytes_deduplicated) /
+                static_cast<double>(stats.bytes_written),
+            0.9);  // nearly everything reused
+  EXPECT_LT(stats.bytes_written - stats.bytes_deduplicated, 20'000u);
+  // The per-chunk reuse flags mark the reused spans.
+  const std::vector<bool>& reused = written.value()->chunk_reused();
   std::size_t reused_chunks = 0;
-  for (const PlannedChunk& pc : plan->chunks) reused_chunks += !pc.novel;
-  EXPECT_GT(reused_chunks, plan->chunks.size() / 2);
+  for (bool r : reused) reused_chunks += r;
+  EXPECT_GT(reused_chunks, written.value()->chunk_map().chunks.size() / 2);
 
   auto read_back = cluster_->client().ReadFile(Name(2));
   ASSERT_TRUE(read_back.ok());
@@ -119,19 +152,18 @@ TEST_F(CbchWriteTest, ShiftedVersionTransfersOnlyTheInsertion) {
 
 TEST_F(CbchWriteTest, IdenticalVersionTransfersNothing) {
   Bytes image = rng_.RandomBytes(128 * 1024);
-  ASSERT_TRUE(
-      cluster_->client().WriteFileDeduped(Name(1), image, chunker_).ok());
+  ASSERT_TRUE(WriteDeduped(1, image, chunker_).ok());
   std::uint64_t moved_before = cluster_->transport().bytes_moved();
-  auto plan = cluster_->client().WriteFileDeduped(Name(2), image, chunker_);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->novel_bytes, 0u);
+  auto written = WriteDeduped(2, image, chunker_);
+  ASSERT_TRUE(written.ok());
+  const WriteStats& stats = written.value()->stats();
+  EXPECT_EQ(stats.bytes_written - stats.bytes_deduplicated, 0u);
   EXPECT_EQ(cluster_->transport().bytes_moved(), moved_before);
 }
 
 TEST_F(CbchWriteTest, VariableSizeChunkMapReadsAtArbitraryOffsets) {
   Bytes image = rng_.RandomBytes(200 * 1024 + 77);
-  ASSERT_TRUE(
-      cluster_->client().WriteFileDeduped(Name(1), image, chunker_).ok());
+  ASSERT_TRUE(WriteDeduped(1, image, chunker_).ok());
   auto session = cluster_->client().OpenFile(Name(1));
   ASSERT_TRUE(session.ok());
   for (std::uint64_t offset : {0ull, 777ull, 99'999ull, 200ull * 1024}) {
@@ -148,9 +180,8 @@ TEST_F(CbchWriteTest, VariableSizeChunkMapReadsAtArbitraryOffsets) {
 
 TEST_F(CbchWriteTest, DuplicateVersionRejected) {
   Bytes image = rng_.RandomBytes(64 * 1024);
-  ASSERT_TRUE(
-      cluster_->client().WriteFileDeduped(Name(1), image, chunker_).ok());
-  auto again = cluster_->client().WriteFileDeduped(Name(1), image, chunker_);
+  ASSERT_TRUE(WriteDeduped(1, image, chunker_).ok());
+  auto again = WriteDeduped(1, image, chunker_);
   EXPECT_EQ(again.status().code(), StatusCode::kAlreadyExists);
 }
 
@@ -159,17 +190,15 @@ TEST_F(CbchWriteTest, FailsCleanlyWhenPoolIsDown) {
     cluster_->benefactor(i).Crash();
   }
   Bytes image = rng_.RandomBytes(64 * 1024);
-  auto plan = cluster_->client().WriteFileDeduped(Name(1), image, chunker_);
-  EXPECT_FALSE(plan.ok());
+  auto written = WriteDeduped(1, image, chunker_);
+  EXPECT_FALSE(written.ok());
   EXPECT_FALSE(cluster_->client().ReadFile(Name(1)).ok());
 }
 
 TEST_F(CbchWriteTest, SharedChunksRefcountedAcrossDeletion) {
   Bytes image = rng_.RandomBytes(128 * 1024);
-  ASSERT_TRUE(
-      cluster_->client().WriteFileDeduped(Name(1), image, chunker_).ok());
-  ASSERT_TRUE(
-      cluster_->client().WriteFileDeduped(Name(2), image, chunker_).ok());
+  ASSERT_TRUE(WriteDeduped(1, image, chunker_).ok());
+  ASSERT_TRUE(WriteDeduped(2, image, chunker_).ok());
   ASSERT_TRUE(cluster_->client().Delete(Name(1)).ok());
   cluster_->Settle();
   auto read_back = cluster_->client().ReadFile(Name(2));

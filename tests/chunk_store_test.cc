@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <string>
 
 #include "common/rng.h"
 
@@ -17,9 +19,13 @@ class ChunkStoreTest : public ::testing::TestWithParam<StoreKind> {
     if (GetParam() == StoreKind::kMemory) {
       store_ = MakeMemoryChunkStore();
     } else {
+      // A parameterized test is named "<Case>/<param>": flatten the slash,
+      // or the directory would nest and TearDown would leave its parent.
+      std::string name =
+          ::testing::UnitTest::GetInstance()->current_test_info()->name();
+      std::replace(name.begin(), name.end(), '/', '_');
       dir_ = std::filesystem::temp_directory_path() /
-             ("stdchk_store_test_" + std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()->current_test_info()->name());
+             ("stdchk_store_test_" + std::to_string(::getpid()) + "_" + name);
       std::filesystem::remove_all(dir_);
       auto store = MakeDiskChunkStore(dir_.string());
       ASSERT_TRUE(store.ok()) << store.status();

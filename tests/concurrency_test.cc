@@ -235,10 +235,10 @@ TEST(ConcurrencyTest, StashWhileOfferingStashedVersions) {
       loc.replicas = {node};
       record.chunk_map.chunks.push_back(loc);
       record.size = 1;
-      if (!cluster.transport().StashChunkMap(node, record, /*stripe_width=*/1)
-               .ok()) {
-        ++failures;
-      }
+      Transport& transport = cluster.transport();
+      auto stashed = transport.Wait(
+          transport.Submit(ChunkOp::Stash(node, record, /*stripe_width=*/1)));
+      if (!stashed.ok() || !stashed.value().status.ok()) ++failures;
     }
     done.store(true);
   });

@@ -604,7 +604,8 @@ TEST_F(DiskSegmentRecoveryTest, TamperedCompactedBytesFailVerification) {
   }
   ASSERT_TRUE(donor.PutChunkBatch(batch).ok());
   Bytes b = rng_.RandomBytes(512);
-  ASSERT_TRUE(donor.PutChunk(ChunkId::For(b), ByteSpan(b)).ok());
+  std::vector<ChunkPut> put_b{{ChunkId::For(b), BufferSlice::Copy(b)}};
+  ASSERT_TRUE(donor.PutChunkBatch(put_b).ok());
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(store->Delete(ChunkId::For(gen_a[i])).ok());
   }

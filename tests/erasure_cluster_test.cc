@@ -163,6 +163,73 @@ TEST_F(ErasureClusterTest, ShardRepairRestoresFullWidth) {
   EXPECT_EQ(read_back.value(), data);
 }
 
+// A rebuild moves its shards through the transport like any client op, so
+// a cut link to one of its k sources fails it until the link heals.
+TEST_F(ErasureClusterTest, ShardRepairWaitsForACutSourceLinkToHeal) {
+  Bytes data = rng_.RandomBytes(4 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
+                                                             data.size()))
+                  .ok());
+  VersionRecord before = Record(Name(1));
+  const ChunkLocation& first = before.chunk_map.chunks.front();
+  NodeId dead = first.shards[0].node;
+  // The first k live shards source a rebuild: shard 1 is one of them.
+  NodeId cut = first.shards[1].node;
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
+  cluster_->transport().SetUnreachable(cut, true);
+
+  std::size_t repair_failures = 0;
+  for (int i = 0; i < 30; ++i) {
+    repair_failures += cluster_->Tick(1.0).shard_repair_failures;
+  }
+  EXPECT_GT(repair_failures, 0u);
+  EXPECT_EQ(Record(Name(1)).chunk_map.chunks.front().shards[0].node,
+            kInvalidNode);
+
+  cluster_->transport().SetUnreachable(cut, false);
+  repair_failures = 0;
+  for (int i = 0; i < 30; ++i) {
+    repair_failures += cluster_->Tick(1.0).shard_repair_failures;
+  }
+  EXPECT_EQ(repair_failures, 0u);
+  VersionRecord after = Record(Name(1));
+  const ShardLocation& rebuilt = after.chunk_map.chunks.front().shards[0];
+  EXPECT_EQ(rebuilt.id, first.shards[0].id);
+  EXPECT_NE(rebuilt.node, kInvalidNode);
+  EXPECT_NE(rebuilt.node, dead);
+  auto read_back = cluster_->client().ReadFile(Name(1));
+  ASSERT_TRUE(read_back.ok());
+  EXPECT_EQ(read_back.value(), data);
+}
+
+// One rebuild is k shard GETs plus one shard PUT on the transport.
+TEST_F(ErasureClusterTest, ShardRepairTrafficShowsOnTheTransport) {
+  Bytes data = rng_.RandomBytes(4096);  // one chunk: shards of 1 KiB
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
+                                                             data.size()))
+                  .ok());
+  VersionRecord record = Record(Name(1));
+  ASSERT_EQ(record.chunk_map.chunks.size(), 1u);
+  NodeId dead = record.chunk_map.chunks.front().shards[0].node;
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
+
+  const std::uint64_t shard_bytes = ErasureShardSize(4096, kK);
+  LocalTransport& transport = cluster_->transport();
+  std::size_t rebuilds = 0;
+  for (int i = 0; i < 30 && rebuilds == 0; ++i) {
+    std::uint64_t rpcs = transport.rpc_count();
+    std::uint64_t moved = transport.bytes_moved();
+    StdchkCluster::TickReport report = cluster_->Tick(1.0);
+    if (report.shard_repair_commands == 0) continue;
+    rebuilds = report.shard_repair_commands;
+    EXPECT_EQ(report.shard_repair_failures, 0u);
+    EXPECT_EQ(report.replication_commands, 0u);
+    EXPECT_EQ(transport.rpc_count() - rpcs, kK + 1u);
+    EXPECT_EQ(transport.bytes_moved() - moved, (kK + 1u) * shard_bytes);
+  }
+  EXPECT_EQ(rebuilds, 1u);
+}
+
 TEST_F(ErasureClusterTest, LosingMoreThanMShardsReportsTheGroupLost) {
   Bytes data = rng_.RandomBytes(2 * 4096);
   ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),

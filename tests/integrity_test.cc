@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "disk_tamper.h"
+#include "submit_and_wait.h"
 
 namespace stdchk {
 namespace {
@@ -30,7 +31,8 @@ TEST(IntegrityTest, TamperedDiskChunkIsDetectedOnRead) {
   Rng rng(1);
   Bytes data = rng.RandomBytes(4096);
   ChunkId id = ChunkId::For(data);
-  ASSERT_TRUE(benefactor.PutChunk(id, data).ok());
+  std::vector<ChunkPut> put{{id, BufferSlice::Copy(data)}};
+  ASSERT_TRUE(benefactor.PutChunkBatch(put).ok());
 
   // A "malicious donor" flips bits in the stored chunk file.
   fs::path chunk_file;
@@ -55,7 +57,7 @@ TEST(IntegrityTest, TamperedDiskChunkIsDetectedOnRead) {
 TEST(IntegrityTest, ReaderFailsOverFromCorruptReplicaToGoodOne) {
   // Two replicas on memory donors, and the link to the first replica of
   // every chunk is cut: the reader must fail over to the second. A memory
-  // donor's bytes cannot be altered through the public API (PutChunk's
+  // donor's bytes cannot be altered through the public API (PutChunkBatch's
   // content check is the guard), so this case models the bad replica as
   // unreachable. Disk donors can be corrupted for real: see
   // ReadAllFailsOverFromATamperedDiskReplica.
@@ -125,20 +127,22 @@ TEST(IntegrityTest, ReadAllFailsOverFromATamperedDiskReplica) {
     // Asked directly, the bad donor serves no bytes for the chunk.
     LocalTransport& transport = cluster.transport();
     auto single =
-        transport.Wait(transport.Submit(ChunkOp::Get(bad, chunk0.id)));
+        transport.Wait(transport.Submit(ChunkOp::GetBatch(bad, {chunk0.id})));
     ASSERT_TRUE(single.ok());
     EXPECT_EQ(single.value().status.code(), StatusCode::kDataLoss);
-    EXPECT_TRUE(single.value().data.empty());
+    EXPECT_TRUE(single.value().batch.empty());
     auto batch =
         transport.Wait(transport.Submit(ChunkOp::GetBatch(bad, {chunk0.id})));
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(batch.value().status.code(), StatusCode::kDataLoss);
     EXPECT_TRUE(batch.value().batch.empty());
-    EXPECT_EQ(transport.GetChunk(bad, chunk0.id).status().code(),
+    EXPECT_EQ(SubmitAndWait(transport, ChunkOp::GetBatch(bad, {chunk0.id}))
+                  .status.code(),
               StatusCode::kDataLoss);
     std::vector<ChunkId> ids{chunk0.id};
-    EXPECT_EQ(transport.GetChunkBatch(bad, ids).status().code(),
-              StatusCode::kDataLoss);
+    EXPECT_EQ(
+        SubmitAndWait(transport, ChunkOp::GetBatch(bad, ids)).status.code(),
+        StatusCode::kDataLoss);
   }
   fs::remove_all(dir);
 }
@@ -149,9 +153,9 @@ TEST(IntegrityTest, PutRejectsMismatchedContentEvenViaTransport) {
   StdchkCluster cluster(options);
   Bytes data = ToBytes("legit");
   ChunkId wrong = ChunkId::For(ToBytes("other"));
-  EXPECT_EQ(cluster.transport()
-                .PutChunk(cluster.benefactor(0).id(), wrong, data)
-                .code(),
+  ChunkOp put = ChunkOp::PutBatch(cluster.benefactor(0).id(),
+                                  {{wrong, BufferSlice::Copy(data)}});
+  EXPECT_EQ(SubmitAndWait(cluster.transport(), std::move(put)).status.code(),
             StatusCode::kDataLoss);
 }
 

@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "disk_tamper.h"
 #include "manager/virtual_clock.h"
+#include "submit_and_wait.h"
 
 namespace stdchk {
 namespace {
@@ -38,17 +39,21 @@ TEST_F(LocalTransportTest, RoutesPutAndGet) {
   Bytes data = ToBytes("transported chunk");
   ChunkId id = ChunkId::For(data);
   NodeId node = benefactors_[0]->id();
-  ASSERT_TRUE(transport_.PutChunk(node, id, data).ok());
-  auto got = transport_.GetChunk(node, id);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), data);
+  ChunkOp put = ChunkOp::PutBatch(node, {{id, BufferSlice::Copy(data)}});
+  ASSERT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
+  OpCompletion got = SubmitAndWait(transport_, ChunkOp::GetBatch(node, {id}));
+  ASSERT_TRUE(got.status.ok());
+  ASSERT_EQ(got.batch.size(), 1u);
+  EXPECT_EQ(got.batch[0], data);
   EXPECT_EQ(transport_.bytes_moved(), 2 * data.size());
   EXPECT_GE(transport_.rpc_count(), 2u);
 }
 
 TEST_F(LocalTransportTest, UnknownNodeIsUnroutable) {
   Bytes data = ToBytes("x");
-  EXPECT_EQ(transport_.PutChunk(777, ChunkId::For(data), data).code(),
+  ChunkOp put =
+      ChunkOp::PutBatch(777, {{ChunkId::For(data), BufferSlice::Copy(data)}});
+  EXPECT_EQ(SubmitAndWait(transport_, std::move(put)).status.code(),
             StatusCode::kUnavailable);
 }
 
@@ -57,13 +62,15 @@ TEST_F(LocalTransportTest, UnreachableCutsTheLink) {
   ChunkId id = ChunkId::For(data);
   NodeId node = benefactors_[0]->id();
   transport_.SetUnreachable(node, true);
-  EXPECT_EQ(transport_.PutChunk(node, id, data).code(),
+  ChunkOp put = ChunkOp::PutBatch(node, {{id, BufferSlice::Copy(data)}});
+  EXPECT_EQ(SubmitAndWait(transport_, std::move(put)).status.code(),
             StatusCode::kUnavailable);
   // The node itself is fine — it is the network that is down.
   EXPECT_TRUE(benefactors_[0]->online());
 
   transport_.SetUnreachable(node, false);
-  EXPECT_TRUE(transport_.PutChunk(node, id, data).ok());
+  put = ChunkOp::PutBatch(node, {{id, BufferSlice::Copy(data)}});
+  EXPECT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
 }
 
 TEST_F(LocalTransportTest, LossRateDropsSomeRpcs) {
@@ -73,7 +80,8 @@ TEST_F(LocalTransportTest, LossRateDropsSomeRpcs) {
   transport_.SetLossRate(node, 0.5);
   int failures = 0;
   for (int i = 0; i < 200; ++i) {
-    if (!transport_.PutChunk(node, id, data).ok()) ++failures;
+    ChunkOp put = ChunkOp::PutBatch(node, {{id, BufferSlice::Copy(data)}});
+    if (!SubmitAndWait(transport_, std::move(put)).status.ok()) ++failures;
   }
   EXPECT_GT(failures, 50);
   EXPECT_LT(failures, 150);
@@ -84,20 +92,23 @@ TEST_F(LocalTransportTest, CopyChunkMovesBetweenNodes) {
   ChunkId id = ChunkId::For(data);
   NodeId a = benefactors_[0]->id();
   NodeId b = benefactors_[1]->id();
-  ASSERT_TRUE(transport_.PutChunk(a, id, data).ok());
-  ASSERT_TRUE(transport_.CopyChunk(id, a, b).ok());
+  ChunkOp put = ChunkOp::PutBatch(a, {{id, BufferSlice::Copy(data)}});
+  ASSERT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
+  ASSERT_TRUE(SubmitAndWait(transport_, ChunkOp::Copy(id, a, b)).status.ok());
   EXPECT_TRUE(benefactors_[1]->HasChunk(id));
 
   // Copy from a node that lacks the chunk fails.
   ChunkId missing = ChunkId::For(ToBytes("missing"));
-  EXPECT_FALSE(transport_.CopyChunk(missing, a, b).ok());
+  EXPECT_FALSE(
+      SubmitAndWait(transport_, ChunkOp::Copy(missing, a, b)).status.ok());
 }
 
 TEST_F(LocalTransportTest, StashRoutedToNode) {
   VersionRecord record;
   record.name = CheckpointName{"a", "n", 1};
   NodeId node = benefactors_[0]->id();
-  ASSERT_TRUE(transport_.StashChunkMap(node, record, 2).ok());
+  ASSERT_TRUE(
+      SubmitAndWait(transport_, ChunkOp::Stash(node, record, 2)).status.ok());
   EXPECT_EQ(benefactors_[0]->stashed_count(), 1u);
 }
 
@@ -161,18 +172,21 @@ TEST(LocalTransportConcurrencyTest, BlockedPutOnOneDonorDoesNotStallAnother) {
 
   Bytes stored = ToBytes("already on the fast donor");
   ChunkId stored_id = ChunkId::For(stored);
-  ASSERT_TRUE(transport.PutChunk(fast.id(), stored_id, stored).ok());
+  ASSERT_TRUE(SubmitAndWait(transport, ChunkOp::PutBatch(
+                                 fast.id(),
+                                 {{stored_id, BufferSlice::Copy(stored)}}))
+                  .status.ok());
 
   Bytes stuck = ToBytes("stuck behind a slow fsync");
   std::vector<ChunkPut> puts{ChunkPut{ChunkId::For(stuck),
                                       BufferSlice::Copy(stuck)}};
   auto put = std::async(std::launch::async, [&] {
-    return transport.PutChunkBatch(slow.id(), puts);
+    return SubmitAndWait(transport, ChunkOp::PutBatch(slow.id(), puts)).status;
   });
   bool put_blocked =
       put_entered.wait_for(seconds(5)) == std::future_status::ready;
   auto get = std::async(std::launch::async, [&] {
-    return transport.GetChunk(fast.id(), stored_id);
+    return SubmitAndWait(transport, ChunkOp::GetBatch(fast.id(), {stored_id}));
   });
   bool get_done = get.wait_for(seconds(5)) == std::future_status::ready;
   release.set_value();  // before any assertion, so a failing run still ends
@@ -180,9 +194,10 @@ TEST(LocalTransportConcurrencyTest, BlockedPutOnOneDonorDoesNotStallAnother) {
   ASSERT_TRUE(put_blocked) << "the put never reached the slow donor's store";
   EXPECT_TRUE(get_done)
       << "a GET to one donor waited for a put blocked on another";
-  Result<BufferSlice> got = get.get();
-  ASSERT_TRUE(got.ok()) << got.status();
-  EXPECT_EQ(got.value(), stored);
+  OpCompletion got = get.get();
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  ASSERT_EQ(got.batch.size(), 1u);
+  EXPECT_EQ(got.batch[0], stored);
   EXPECT_TRUE(put.get().ok());
   EXPECT_TRUE(slow.HasChunk(ChunkId::For(stuck)));
 }
@@ -214,7 +229,8 @@ TEST(LocalTransportConcurrencyTest, RacingBatchesNeverOvercommitADonor) {
     auto submit = [&](std::size_t b) {
       arrived.fetch_add(1);
       while (arrived.load() < 2) std::this_thread::yield();
-      results[b] = transport.PutChunkBatch(donor.id(), batches[b]);
+      ChunkOp put = ChunkOp::PutBatch(donor.id(), batches[b]);
+      results[b] = SubmitAndWait(transport, std::move(put)).status;
     };
     std::thread first(submit, 0);
     std::thread second(submit, 1);
@@ -261,11 +277,13 @@ class DeferredReadCheckTest : public ::testing::Test {
     Rng rng(5);
     for (Bytes& data : clean_) {
       data = rng.RandomBytes(kChunk);
-      EXPECT_TRUE(donor_->PutChunk(ChunkId::For(data), data).ok());
+      std::vector<ChunkPut> put{{ChunkId::For(data), BufferSlice::Copy(data)}};
+      EXPECT_TRUE(donor_->PutChunkBatch(put).ok());
     }
     Bytes tampered = rng.RandomBytes(kChunk);
     tampered_ = ChunkId::For(tampered);
-    EXPECT_TRUE(donor_->PutChunk(tampered_, tampered).ok());
+    std::vector<ChunkPut> put{{tampered_, BufferSlice::Copy(tampered)}};
+    EXPECT_TRUE(donor_->PutChunkBatch(put).ok());
     EXPECT_TRUE(FlipStoredByte(dir_, tampered));
     missing_ = ChunkId::For(rng.RandomBytes(kChunk));
   }
@@ -276,7 +294,7 @@ class DeferredReadCheckTest : public ::testing::Test {
   NodeId node() const { return donor_->id(); }
   ChunkId clean(std::size_t i) const { return ChunkId::For(clean_[i]); }
   OpHandle Get(const ChunkId& id) {
-    return transport_.Submit(ChunkOp::Get(node(), id));
+    return transport_.Submit(ChunkOp::GetBatch(node(), {id}));
   }
 
   std::filesystem::path dir_;
@@ -293,7 +311,7 @@ TEST_F(DeferredReadCheckTest, WaitDeliversDataLossWithoutPayload) {
   auto c = transport_.Wait(Get(tampered_));
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(c.value().data.empty());
+  EXPECT_TRUE(c.value().batch.empty());
   EXPECT_EQ(transport_.InFlight(), 0u);
 }
 
@@ -303,7 +321,7 @@ TEST_F(DeferredReadCheckTest, WaitAnyDeliversDataLossWithoutPayload) {
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value().handle, h);
   EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(c.value().data.empty());
+  EXPECT_TRUE(c.value().batch.empty());
 }
 
 TEST_F(DeferredReadCheckTest, PollDeliversDataLossWithoutPayload) {
@@ -313,7 +331,7 @@ TEST_F(DeferredReadCheckTest, PollDeliversDataLossWithoutPayload) {
       transport_.Poll(std::span<const OpHandle>(&h, 1));
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->status.code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(c->data.empty());
+  EXPECT_TRUE(c->batch.empty());
   EXPECT_EQ(transport_.InFlight(), 0u);
 }
 
@@ -328,10 +346,11 @@ TEST_F(DeferredReadCheckTest, WaitAnyDeliversInSubmissionOrder) {
     open.erase(std::find(open.begin(), open.end(), handles[k]));
     if (k == 1) {
       EXPECT_EQ(c.value().status.code(), StatusCode::kDataLoss);
-      EXPECT_TRUE(c.value().data.empty());
+      EXPECT_TRUE(c.value().batch.empty());
     } else {
       ASSERT_TRUE(c.value().status.ok()) << c.value().status;
-      EXPECT_EQ(c.value().data, clean_[k == 0 ? 0 : 1]);
+      ASSERT_EQ(c.value().batch.size(), 1u);
+      EXPECT_EQ(c.value().batch[0], clean_[k == 0 ? 0 : 1]);
     }
   }
 }
@@ -369,19 +388,23 @@ TEST_F(DeferredReadCheckTest, BatchDeliversTheFirstFailureInIdOrder) {
 
 TEST_F(DeferredReadCheckTest, RejectedGetIsChargedLikeARejectedPut) {
   std::uint64_t before = transport_.bytes_moved();
-  EXPECT_EQ(transport_.GetChunk(node(), tampered_).status().code(),
+  EXPECT_EQ(SubmitAndWait(transport_, ChunkOp::GetBatch(node(), {tampered_}))
+                .status.code(),
             StatusCode::kDataLoss);
   EXPECT_EQ(transport_.bytes_moved() - before, kChunk);
 
   before = transport_.bytes_moved();
   Bytes data = ToBytes("not the chunk its id names");
-  EXPECT_EQ(transport_.PutChunk(node(), missing_, data).code(),
+  ChunkOp put =
+      ChunkOp::PutBatch(node(), {{missing_, BufferSlice::Copy(data)}});
+  EXPECT_EQ(SubmitAndWait(transport_, std::move(put)).status.code(),
             StatusCode::kDataLoss);
   EXPECT_EQ(transport_.bytes_moved() - before, data.size());
 
   // A failed lookup still moves nothing.
   before = transport_.bytes_moved();
-  EXPECT_EQ(transport_.GetChunk(node(), missing_).status().code(),
+  EXPECT_EQ(SubmitAndWait(transport_, ChunkOp::GetBatch(node(), {missing_}))
+                .status.code(),
             StatusCode::kNotFound);
   EXPECT_EQ(transport_.bytes_moved(), before);
 }
@@ -406,9 +429,10 @@ TEST_F(DeferredReadCheckTest, ConcurrentReadersGetTheirOwnVerdicts) {
           open.erase(std::find(open.begin(), open.end(), handles[k]));
           bool right = k == 1 ? c.value().status.code() ==
                                         StatusCode::kDataLoss &&
-                                    c.value().data.empty()
+                                    c.value().batch.empty()
                               : c.value().status.ok() &&
-                                    c.value().data == clean_[k / 2];
+                                    c.value().batch.size() == 1 &&
+                                    c.value().batch[0] == clean_[k / 2];
           if (!right) wrong.fetch_add(1);
         }
       }
@@ -472,7 +496,8 @@ TEST(StampedReadCheckTest, FailedCompareEndsABatchsLookups) {
   for (std::size_t i = 0; i < stored.size(); ++i) {
     BufferSlice slice = BufferSlice::Copy(bytes[i]);
     slice.StampDigest(stored[i].digest);
-    ASSERT_TRUE(donor.PutChunk(stored[i], std::move(slice)).ok());
+    std::vector<ChunkPut> put{{stored[i], std::move(slice)}};
+    ASSERT_TRUE(donor.PutChunkBatch(put).ok());
   }
 
   auto batch = [&](std::vector<ChunkId> ids) {

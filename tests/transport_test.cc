@@ -6,6 +6,7 @@
 
 #include "core/local_transport.h"
 #include "manager/virtual_clock.h"
+#include "submit_and_wait.h"
 
 namespace stdchk {
 namespace {
@@ -29,7 +30,8 @@ class TransportTest : public ::testing::Test {
   // Stores `data` on node `i` synchronously.
   ChunkId Store(int i, const Bytes& data) {
     ChunkId id = ChunkId::For(data);
-    EXPECT_TRUE(transport_.PutChunk(node(i), id, data).ok());
+    ChunkOp put = ChunkOp::PutBatch(node(i), {{id, BufferSlice::Copy(data)}});
+    EXPECT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
     return id;
   }
 
@@ -42,26 +44,27 @@ class TransportTest : public ::testing::Test {
 TEST_F(TransportTest, SubmitWaitDeliversStatusAndPayload) {
   Bytes data = Payload("async chunk");
   ChunkId id = ChunkId::For(data);
-  OpHandle put =
-      transport_.Submit(ChunkOp::Put(node(0), id, BufferSlice::Copy(data)));
+  OpHandle put = transport_.Submit(
+      ChunkOp::PutBatch(node(0), {{id, BufferSlice::Copy(data)}}));
   auto put_done = transport_.Wait(put);
   ASSERT_TRUE(put_done.ok());
   EXPECT_TRUE(put_done.value().status.ok());
-  EXPECT_EQ(put_done.value().type, ChunkOpType::kPutChunk);
+  EXPECT_EQ(put_done.value().type, ChunkOpType::kPutChunkBatch);
 
-  OpHandle get = transport_.Submit(ChunkOp::Get(node(0), id));
+  OpHandle get = transport_.Submit(ChunkOp::GetBatch(node(0), {id}));
   auto get_done = transport_.Wait(get);
   ASSERT_TRUE(get_done.ok());
   ASSERT_TRUE(get_done.value().status.ok());
-  EXPECT_EQ(get_done.value().data, data);
+  ASSERT_EQ(get_done.value().batch.size(), 1u);
+  EXPECT_EQ(get_done.value().batch[0], data);
   EXPECT_EQ(transport_.InFlight(), 0u);
 }
 
 TEST_F(TransportTest, PerOpStatusSurfacesInCompletionNotSubmit) {
   Bytes data = Payload("x");
   // Unknown node: Submit still hands out a handle; the failure is the op's.
-  OpHandle h = transport_.Submit(
-      ChunkOp::Put(777, ChunkId::For(data), BufferSlice::Copy(data)));
+  OpHandle h = transport_.Submit(ChunkOp::PutBatch(
+      777, {{ChunkId::For(data), BufferSlice::Copy(data)}}));
   ASSERT_NE(h, kInvalidOpHandle);
   auto done = transport_.Wait(h);
   ASSERT_TRUE(done.ok());
@@ -75,8 +78,8 @@ TEST_F(TransportTest, WaitAnyReturnsEarliestModeledCompletion) {
   ChunkId fast = Store(1, Payload("fast"));
   SimTime t0 = transport_.now();
 
-  OpHandle h_slow = transport_.Submit(ChunkOp::Get(node(0), slow));
-  OpHandle h_fast = transport_.Submit(ChunkOp::Get(node(1), fast));
+  OpHandle h_slow = transport_.Submit(ChunkOp::GetBatch(node(0), {slow}));
+  OpHandle h_fast = transport_.Submit(ChunkOp::GetBatch(node(1), {fast}));
   std::vector<OpHandle> handles{h_slow, h_fast};
 
   auto first = transport_.WaitAny(handles);
@@ -99,16 +102,16 @@ TEST_F(TransportTest, SameNodeSerializesDistinctNodesOverlap) {
   SimTime t0 = transport_.now();
 
   // Two ops on one link: the second queues behind the first.
-  OpHandle h1 = transport_.Submit(ChunkOp::Get(node(0), a));
-  OpHandle h2 = transport_.Submit(ChunkOp::Get(node(0), a));
+  OpHandle h1 = transport_.Submit(ChunkOp::GetBatch(node(0), {a}));
+  OpHandle h2 = transport_.Submit(ChunkOp::GetBatch(node(0), {a}));
   ASSERT_TRUE(transport_.Wait(h1).ok());
   ASSERT_TRUE(transport_.Wait(h2).ok());
   EXPECT_EQ(transport_.now() - t0, Milliseconds(10));
 
   // Two ops on distinct links: both done after one latency.
   SimTime t1 = transport_.now();
-  OpHandle h3 = transport_.Submit(ChunkOp::Get(node(0), a));
-  OpHandle h4 = transport_.Submit(ChunkOp::Get(node(1), b));
+  OpHandle h3 = transport_.Submit(ChunkOp::GetBatch(node(0), {a}));
+  OpHandle h4 = transport_.Submit(ChunkOp::GetBatch(node(1), {b}));
   ASSERT_TRUE(transport_.Wait(h3).ok());
   ASSERT_TRUE(transport_.Wait(h4).ok());
   EXPECT_EQ(transport_.now() - t1, Milliseconds(5));
@@ -120,7 +123,8 @@ TEST_F(TransportTest, BandwidthChargesTransferTime) {
   Bytes data(1_MiB, 0x5A);
   ChunkId id = ChunkId::For(data);
   SimTime t0 = transport_.now();
-  ASSERT_TRUE(transport_.PutChunk(node(0), id, data).ok());
+  ChunkOp put = ChunkOp::PutBatch(node(0), {{id, BufferSlice::Copy(data)}});
+  ASSERT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
   EXPECT_EQ(transport_.now() - t0, Seconds(1.0));
 }
 
@@ -128,8 +132,8 @@ TEST_F(TransportTest, PollDeliversOnlyReadyCompletions) {
   transport_.SetLinkModel(node(0), sim::LinkModel{Milliseconds(3), 0.0});
   ChunkId id = Store(1, Payload("ready"));  // node 1 keeps the zero default
 
-  OpHandle fast = transport_.Submit(ChunkOp::Get(node(1), id));
-  OpHandle slow = transport_.Submit(ChunkOp::Get(node(0), id));
+  OpHandle fast = transport_.Submit(ChunkOp::GetBatch(node(1), {id}));
+  OpHandle slow = transport_.Submit(ChunkOp::GetBatch(node(0), {id}));
   std::vector<OpHandle> handles{fast, slow};
 
   // The zero-latency op is ready at the current clock; the modeled one not.
@@ -142,7 +146,7 @@ TEST_F(TransportTest, PollDeliversOnlyReadyCompletions) {
 
 TEST_F(TransportTest, CancelDropsTheReply) {
   ChunkId id = Store(0, Payload("cancelled"));
-  OpHandle h = transport_.Submit(ChunkOp::Get(node(0), id));
+  OpHandle h = transport_.Submit(ChunkOp::GetBatch(node(0), {id}));
   EXPECT_EQ(transport_.InFlight(), 1u);
   EXPECT_TRUE(transport_.Cancel(h));
   EXPECT_EQ(transport_.InFlight(), 0u);
@@ -161,9 +165,9 @@ TEST_F(TransportTest, InflightPeakWitnessesOverlap) {
   EXPECT_EQ(transport_.inflight_peak(), 0u);
 
   std::vector<OpHandle> handles;
-  handles.push_back(transport_.Submit(ChunkOp::Get(node(0), a)));
-  handles.push_back(transport_.Submit(ChunkOp::Get(node(1), b)));
-  handles.push_back(transport_.Submit(ChunkOp::Get(node(2), c)));
+  handles.push_back(transport_.Submit(ChunkOp::GetBatch(node(0), {a})));
+  handles.push_back(transport_.Submit(ChunkOp::GetBatch(node(1), {b})));
+  handles.push_back(transport_.Submit(ChunkOp::GetBatch(node(2), {c})));
   EXPECT_EQ(transport_.inflight_peak(), 3u);
   for (OpHandle h : handles) ASSERT_TRUE(transport_.Wait(h).ok());
   EXPECT_EQ(transport_.inflight_peak(), 3u);  // peak survives delivery
@@ -176,21 +180,21 @@ TEST_F(TransportTest, GetChunkBatchIsOneRpc) {
 
   std::uint64_t rpcs_before = transport_.rpc_count();
   std::vector<ChunkId> ids{i0, i1, i2};
-  auto got = transport_.GetChunkBatch(node(0), ids);
-  ASSERT_TRUE(got.ok());
+  OpCompletion got = SubmitAndWait(transport_, ChunkOp::GetBatch(node(0), ids));
+  ASSERT_TRUE(got.status.ok());
   EXPECT_EQ(transport_.rpc_count(), rpcs_before + 1);
-  ASSERT_EQ(got.value().size(), 3u);
-  EXPECT_EQ(got.value()[0], d0);
-  EXPECT_EQ(got.value()[1], d1);
-  EXPECT_EQ(got.value()[2], d2);
+  ASSERT_EQ(got.batch.size(), 3u);
+  EXPECT_EQ(got.batch[0], d0);
+  EXPECT_EQ(got.batch[1], d1);
+  EXPECT_EQ(got.batch[2], d2);
 }
 
 TEST_F(TransportTest, GetChunkBatchIsAllOrNothing) {
   ChunkId present = Store(0, Payload("present"));
   ChunkId missing = ChunkId::For(Payload("missing"));
   std::vector<ChunkId> ids{present, missing};
-  auto got = transport_.GetChunkBatch(node(0), ids);
-  EXPECT_FALSE(got.ok());
+  EXPECT_FALSE(
+      SubmitAndWait(transport_, ChunkOp::GetBatch(node(0), ids)).status.ok());
 }
 
 TEST_F(TransportTest, StashAndCopyOps) {

@@ -14,6 +14,7 @@
 #include "core/local_transport.h"
 #include "manager/metadata_manager.h"
 #include "manager/virtual_clock.h"
+#include "submit_and_wait.h"
 
 namespace stdchk {
 namespace {
@@ -126,7 +127,8 @@ TEST_F(BatchPutTest, BatchIsOneRpcOnTheTransport) {
   auto batch = MakeBatch(payloads);
 
   std::uint64_t rpcs_before = transport_.rpc_count();
-  ASSERT_TRUE(transport_.PutChunkBatch(node->id(), batch).ok());
+  ASSERT_TRUE(SubmitAndWait(transport_, ChunkOp::PutBatch(node->id(), batch))
+                  .status.ok());
   EXPECT_EQ(transport_.rpc_count(), rpcs_before + 1);
   EXPECT_EQ(node->ChunkCount(), 3u);
   EXPECT_EQ(transport_.bytes_moved(), 600u);
@@ -140,11 +142,14 @@ TEST_F(BatchPutTest, RejectedBatchStoresNothing) {
   std::vector<Bytes> payloads{rng_.RandomBytes(300), rng_.RandomBytes(300)};
   auto batch = MakeBatch(payloads);
 
-  EXPECT_EQ(transport_.PutChunkBatch(node->id(), batch).code(),
+  EXPECT_EQ(SubmitAndWait(transport_, ChunkOp::PutBatch(node->id(), batch))
+                .status.code(),
             StatusCode::kResourceExhausted);
   EXPECT_EQ(node->ChunkCount(), 0u);
 
-  ASSERT_TRUE(transport_.PutChunk(node->id(), batch[0].id, payloads[0]).ok());
+  ASSERT_TRUE(
+      SubmitAndWait(transport_, ChunkOp::PutBatch(node->id(), {batch[0]}))
+          .status.ok());
   EXPECT_EQ(node->ChunkCount(), 1u);
 }
 
@@ -157,7 +162,8 @@ TEST_F(BatchPutTest, CorruptChunkPoisonsTheBatch) {
       // content does not match address
       ChunkPut{ChunkId::For(evil), BufferSlice::Copy(good)},
   };
-  EXPECT_EQ(transport_.PutChunkBatch(node->id(), batch).code(),
+  EXPECT_EQ(SubmitAndWait(transport_, ChunkOp::PutBatch(node->id(), batch))
+                .status.code(),
             StatusCode::kDataLoss);
   EXPECT_EQ(node->ChunkCount(), 0u);
 }
@@ -167,7 +173,8 @@ TEST_F(BatchPutTest, BatchToOfflineNodeFails) {
   node->Crash();
   std::vector<Bytes> payloads{rng_.RandomBytes(64)};
   auto batch = MakeBatch(payloads);
-  EXPECT_EQ(transport_.PutChunkBatch(node->id(), batch).code(),
+  EXPECT_EQ(SubmitAndWait(transport_, ChunkOp::PutBatch(node->id(), batch))
+                .status.code(),
             StatusCode::kUnavailable);
 }
 
