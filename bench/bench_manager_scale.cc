@@ -69,7 +69,7 @@ void RunClient(MetadataManager* manager, NodeId reporter, int thread_idx,
 
     if (i % 3 == 0) {
       Require(manager->GetVersion(name).ok(), "read-back");
-      (void)manager->FilterKnownChunks({record.chunk_map.chunks[0].id});
+      (void)manager->LocateChunks({record.chunk_map.chunks[0].id});
     }
     if (i % 8 == 7) {
       Require(manager

@@ -80,25 +80,13 @@ void CommitCoordinator::SetShards(std::size_t slot, int k, int m,
 
 std::vector<std::vector<NodeId>> CommitCoordinator::LocateReusable(
     const std::vector<ChunkId>& ids) {
-  std::vector<std::vector<NodeId>> out(ids.size());
-  auto known = manager_->FilterKnownChunks(ids);
-  if (!known.ok()) return out;  // best effort: upload everything
-  std::vector<ChunkId> hits;
-  std::vector<std::size_t> hit_slots;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (known.value()[i]) {
-      hits.push_back(ids[i]);
-      hit_slots.push_back(i);
-    }
+  // An unknown chunk and a known one with no live replica (raced with a
+  // purge) both come back empty and stay novel.
+  auto located = manager_->LocateChunks(ids);
+  if (!located.ok()) {
+    return std::vector<std::vector<NodeId>>(ids.size());  // upload everything
   }
-  if (hits.empty()) return out;
-  auto located = manager_->LocateChunks(hits);
-  if (!located.ok()) return out;  // best effort again
-  for (std::size_t j = 0; j < hits.size(); ++j) {
-    // A known chunk with no live replica (raced with a purge) stays novel.
-    out[hit_slots[j]] = std::move(located.value()[j]);
-  }
-  return out;
+  return std::move(located.value());
 }
 
 void CommitCoordinator::ReuseExisting(const ChunkId& id, std::uint32_t size,

@@ -27,20 +27,6 @@ class BackgroundDriver {
 
   std::uint64_t ticks() const { return ticks_.load(); }
 
-  // Cumulative compaction work the driver's ticks have accomplished
-  // (zero unless ClusterOptions::compaction_enabled). Monitoring surface
-  // for long-running deployments: dead-byte reclamation is background
-  // work, so its progress is only visible here and in ClusterStats.
-  std::uint64_t segments_compacted() const {
-    return segments_compacted_.load();
-  }
-  std::uint64_t generations_released() const {
-    return generations_released_.load();
-  }
-  std::uint64_t compacted_bytes_rewritten() const {
-    return compacted_bytes_rewritten_.load();
-  }
-
  private:
   void Loop() EXCLUDES(mu_);
 
@@ -48,9 +34,6 @@ class BackgroundDriver {
   double period_seconds_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> segments_compacted_{0};
-  std::atomic<std::uint64_t> generations_released_{0};
-  std::atomic<std::uint64_t> compacted_bytes_rewritten_{0};
   // Held only around the stop/wakeup handshake, never across Tick() — so
   // its rank sits at the bottom of the hierarchy: every lock the cluster
   // tick takes (manager, catalog, transport, stores...) ranks above it.

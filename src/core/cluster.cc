@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "chunk/chunk_store.h"
+#include "client/read_session.h"
 #include "common/log.h"
 #include "erasure/reed_solomon.h"
 
@@ -69,35 +70,34 @@ Status StdchkCluster::RestartBenefactor(std::size_t idx) {
 }
 
 Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
-  STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs,
-                          ReedSolomon::Create(cmd.ec_k, cmd.ec_m));
-  const std::size_t shard_size = ErasureShardSize(cmd.chunk_size, cmd.ec_k);
-  std::vector<BufferSlice> fetched(cmd.source_ids.size());
-  std::vector<std::optional<ByteSpan>> views(
-      static_cast<std::size_t>(cmd.ec_k) + cmd.ec_m);
-  for (std::size_t i = 0; i < cmd.source_ids.size(); ++i) {
-    // The transport verifies the shard against its content address — a
-    // corrupt source fails here instead of poisoning the rebuild.
-    STDCHK_ASSIGN_OR_RETURN(
-        OpCompletion got,
-        transport_.Wait(transport_.Submit(
-            ChunkOp::GetBatch(cmd.source_nodes[i], {cmd.source_ids[i]}))));
-    STDCHK_RETURN_IF_ERROR(got.status);
-    fetched[i] = std::move(got.batch.front());
-    views[static_cast<std::size_t>(cmd.source_indices[i])] =
-        fetched[i].span();
-  }
+  const ChunkLocation& group = cmd.group;
+  VersionRecord record;
+  record.size = group.size;
+  record.chunk_map.chunks.push_back(group);
+  ReadSession reader(&transport_, std::move(record), options_.client);
+  STDCHK_ASSIGN_OR_RETURN(Bytes chunk, reader.ReadAll());
 
-  Bytes rebuilt(shard_size, 0);
-  STDCHK_RETURN_IF_ERROR(rs.RecoverShards(
-      views, shard_size, {cmd.missing_index},
-      {MutableByteSpan(rebuilt.data(), rebuilt.size())}));
-  // Data shards are stored unpadded; drop the virtual zero tail before the
-  // content check (parity shards are always full width).
-  rebuilt.resize(
-      ErasureShardLength(cmd.chunk_size, cmd.ec_k, cmd.missing_index));
-  if (ChunkId::For(ByteSpan(rebuilt.data(), rebuilt.size())) !=
-      cmd.missing_id) {
+  // The chunk's k data shards are slices of it (an empty tail shard may
+  // start past its end); the codec copies a data shard out or encodes a
+  // parity one from them.
+  const int k = group.ec_k;
+  const std::size_t shard_size = ErasureShardSize(group.size, k);
+  const ByteSpan whole(chunk.data(), chunk.size());
+  std::vector<std::optional<ByteSpan>> views(group.shards.size());
+  for (int s = 0; s < k; ++s) {
+    std::size_t len = ErasureShardLength(group.size, k, s);
+    views[static_cast<std::size_t>(s)] =
+        len == 0 ? ByteSpan()
+                 : whole.subspan(static_cast<std::size_t>(s) * shard_size, len);
+  }
+  STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, group.ec_m));
+  Bytes rebuilt(ErasureShardLength(group.size, k, cmd.missing_index));
+  STDCHK_RETURN_IF_ERROR(
+      rs.RecoverShards(views, shard_size, {cmd.missing_index},
+                       {MutableByteSpan(rebuilt.data(), rebuilt.size())}));
+  const ChunkId& missing_id =
+      group.shards[static_cast<std::size_t>(cmd.missing_index)].id;
+  if (ChunkId::For(ByteSpan(rebuilt.data(), rebuilt.size())) != missing_id) {
     return DataLossError("rebuilt shard failed content verification");
   }
 
@@ -105,7 +105,7 @@ Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
   STDCHK_ASSIGN_OR_RETURN(
       OpCompletion stored,
       transport_.Wait(transport_.Submit(
-          ChunkOp::PutBatch(cmd.target, {{cmd.missing_id, shard}}))));
+          ChunkOp::PutBatch(cmd.target, {{missing_id, shard}}))));
   return stored.status;
 }
 
@@ -165,12 +165,7 @@ StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
   //    after GC so the dead bytes GC just created are eligible this tick.
   if (options_.compaction_enabled) {
     for (auto& b : benefactors_) {
-      if (!b->online()) continue;
-      Result<CompactionStepReport> step = b->CompactStep(options_.compaction);
-      if (!step.ok()) continue;
-      report.segments_compacted += step.value().segments_compacted;
-      report.generations_released += step.value().generations_released;
-      report.compacted_bytes_rewritten += step.value().bytes_rewritten;
+      if (b->online()) (void)b->CompactStep(options_.compaction);
     }
   }
   return report;

@@ -79,11 +79,6 @@ class StdchkCluster {
     std::vector<CheckpointName> purged;
     std::size_t gc_reclaimed_chunks = 0;
     std::size_t recovered_versions_offered = 0;
-    // Live compaction (step 6, when ClusterOptions::compaction_enabled):
-    // what this tick's per-benefactor CompactStep() passes accomplished.
-    std::uint64_t segments_compacted = 0;
-    std::uint64_t generations_released = 0;
-    std::uint64_t compacted_bytes_rewritten = 0;
   };
   // Advances the virtual clock by `advance_seconds`, then runs one round of
   // every background protocol in dependency order.
@@ -94,10 +89,12 @@ class StdchkCluster {
   std::size_t Settle(std::size_t max_ticks = 64);
 
  private:
-  // Executes one shard-repair command through the transport: GETs the k
-  // source shards, reconstructs the missing one, verifies it against its
-  // content address, and PUTs it to the target benefactor. Link cuts, loss
-  // draws and the traffic counters see a rebuild like any client op.
+  // Executes one shard-repair command: reads the group through the read
+  // engine (any k reachable shards, parity covering a failed holder, the
+  // chunk checked against its address), derives the missing shard from the
+  // chunk's data, verifies it against its own address, and PUTs it to the
+  // target. Link cuts, loss draws and the traffic counters see a rebuild
+  // like any client op.
   Status ExecuteShardRepair(const ShardRepairCommand& cmd);
 
   ClusterOptions options_;

@@ -375,19 +375,6 @@ bool FileCatalog::IsChunkLive(const ChunkId& id) const {
   return shard.chunks.contains(id);
 }
 
-std::vector<bool> FileCatalog::KnownChunks(
-    const std::vector<ChunkId>& ids) const {
-  std::vector<bool> out(ids.size());
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    ChunkShard& shard = ChunkShardFor(ids[i]);
-    shard.ops.fetch_add(1, std::memory_order_relaxed);
-    ShardMutexLock lock(shard.mu);
-    auto it = shard.chunks.find(ids[i]);
-    out[i] = it != shard.chunks.end() && !it->second.replicas.empty();
-  }
-  return out;
-}
-
 std::vector<NodeId> FileCatalog::ChunkReplicas(const ChunkId& id) const {
   ChunkShard& shard = ChunkShardFor(id);
   shard.ops.fetch_add(1, std::memory_order_relaxed);
@@ -522,19 +509,13 @@ std::vector<FileCatalog::UnderReplicated> FileCatalog::FindUnderReplicated(
   return out;
 }
 
-std::vector<FileCatalog::DamagedGroup> FileCatalog::FindDamagedGroups(
+std::vector<ChunkLocation> FileCatalog::FindDamagedGroups(
     const std::set<NodeId>& online) const {
   // Collect every committed erasure-coded group (deduplicated: a group
   // shared by several versions is repaired once), then judge each against
   // the chunk records' current holders — commit-time placement is stale
   // the moment a holder departs or a repair lands a shard elsewhere.
-  struct GroupShape {
-    std::uint32_t chunk_size = 0;
-    std::uint16_t ec_k = 0;
-    std::uint16_t ec_m = 0;
-    std::vector<ChunkId> shard_ids;
-  };
-  std::map<ChunkId, GroupShape> groups;
+  std::map<ChunkId, ChunkLocation> groups;
   for (const auto& shard_ptr : folder_shards_) {
     FolderShard& shard = *shard_ptr;
     shard.ops.fetch_add(1, std::memory_order_relaxed);
@@ -543,33 +524,25 @@ std::vector<FileCatalog::DamagedGroup> FileCatalog::FindDamagedGroups(
       for (const auto& [key, record] : folder.versions) {
         for (const ChunkLocation& loc : record.chunk_map.chunks) {
           if (!loc.erasure_coded() || groups.contains(loc.id)) continue;
-          GroupShape& shape = groups[loc.id];
-          shape.chunk_size = loc.size;
-          shape.ec_k = loc.ec_k;
-          shape.ec_m = loc.ec_m;
-          shape.shard_ids.reserve(loc.shards.size());
-          for (const ShardLocation& sl : loc.shards) {
-            shape.shard_ids.push_back(sl.id);
-          }
+          ChunkLocation& group = groups[loc.id];
+          group.id = loc.id;
+          group.size = loc.size;
+          group.ec_k = loc.ec_k;
+          group.ec_m = loc.ec_m;
+          group.shards = loc.shards;
         }
       }
     }
   }
 
-  std::vector<DamagedGroup> out;
-  for (const auto& [group, shape] : groups) {
-    DamagedGroup dg;
-    dg.group = group;
-    dg.chunk_size = shape.chunk_size;
-    dg.ec_k = shape.ec_k;
-    dg.ec_m = shape.ec_m;
+  std::vector<ChunkLocation> out;
+  for (auto& [id, group] : groups) {
     int live = 0;
-    for (const ChunkId& sid : shape.shard_ids) {
-      ShardLocation sl;
-      sl.id = sid;
-      ChunkShard& shard = ChunkShardFor(sid);
+    for (ShardLocation& sl : group.shards) {
+      sl.node = kInvalidNode;
+      ChunkShard& shard = ChunkShardFor(sl.id);
       ShardMutexLock lock(shard.mu);
-      auto it = shard.chunks.find(sid);
+      auto it = shard.chunks.find(sl.id);
       if (it != shard.chunks.end()) {
         for (NodeId node : it->second.replicas) {
           if (online.contains(node)) {
@@ -579,11 +552,10 @@ std::vector<FileCatalog::DamagedGroup> FileCatalog::FindDamagedGroups(
         }
       }
       if (sl.node != kInvalidNode) ++live;
-      dg.shards.push_back(sl);
     }
-    bool missing = live < static_cast<int>(shape.shard_ids.size());
-    if (missing && live >= static_cast<int>(shape.ec_k)) {
-      out.push_back(std::move(dg));
+    bool missing = live < static_cast<int>(group.shards.size());
+    if (missing && live >= static_cast<int>(group.ec_k)) {
+      out.push_back(std::move(group));
     }
   }
   return out;

@@ -146,8 +146,6 @@ class FileCatalog {
 
   // ---- Chunk-level views --------------------------------------------------
   bool IsChunkLive(const ChunkId& id) const;
-  // For dedup (FsCH/CbCH): which of `ids` the system already stores.
-  std::vector<bool> KnownChunks(const std::vector<ChunkId>& ids) const;
   // Replica locations of a live chunk (empty if unknown).
   std::vector<NodeId> ChunkReplicas(const ChunkId& id) const;
   std::uint32_t ChunkSize(const ChunkId& id) const;
@@ -182,18 +180,12 @@ class FileCatalog {
 
   // Erasure-coded groups of committed versions that are repairable but
   // degraded: at least one shard has no online holder while at least k
-  // shards do. `shards` lists one online holder per position (kInvalidNode
-  // for the missing ones) so the scheduler can build repair commands
-  // without re-querying. Groups below k survivors are not returned — they
-  // are unrepairable (surfaced through RemoveNodeReplicas as lost).
-  struct DamagedGroup {
-    ChunkId group;
-    std::uint32_t chunk_size = 0;
-    std::uint16_t ec_k = 0;
-    std::uint16_t ec_m = 0;
-    std::vector<ShardLocation> shards;  // shard order; holders refreshed
-  };
-  std::vector<DamagedGroup> FindDamagedGroups(
+  // shards do. Each group comes back as one erasure-coded chunk whose
+  // `shards` name one online holder per position (kInvalidNode for the
+  // missing ones), so a reader can fetch it as it stands. Groups below k
+  // survivors are not returned — they are unrepairable (surfaced through
+  // RemoveNodeReplicas as lost).
+  std::vector<ChunkLocation> FindDamagedGroups(
       const std::set<NodeId>& online) const;
 
   // Shard records released because their last referencing version was

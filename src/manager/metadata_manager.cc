@@ -67,6 +67,12 @@ Status DropDeparted(const std::vector<NodeId>& departed, ChunkMap* map) {
   return OkStatus();
 }
 
+// Reserved bytes charged to each member of a `width`-wide stripe for a
+// request of `bytes`: an even share, rounded up.
+std::uint64_t ReservationShare(std::uint64_t bytes, std::size_t width) {
+  return bytes / width + 1;
+}
+
 }  // namespace
 
 MetadataManager::MetadataManager(const VirtualClock* clock,
@@ -159,14 +165,15 @@ Result<WriteReservation> MetadataManager::ReserveStripe(int width,
   stat_server_placements_.fetch_add(1, std::memory_order_relaxed);
   // Pick and charge under the registry lock alone, so the placement work
   // stays off mu_; mu_ only guards the reservation table.
-  std::uint64_t per_node = bytes / static_cast<std::uint64_t>(width) + 1;
+  std::uint64_t per_node =
+      ReservationShare(bytes, static_cast<std::size_t>(width));
   STDCHK_ASSIGN_OR_RETURN(std::vector<NodeId> stripe,
                           registry_.SelectAndReserve(width, per_node));
   MutexLock lock(mu_);
   Reservation res;
   res.id = next_reservation_++;
   res.stripe = stripe;
-  res.bytes = bytes;
+  res.per_node = per_node;
   res.last_touch = clock_->NowUs();
   reservations_[res.id] = res;
 
@@ -183,10 +190,10 @@ Status MetadataManager::ExtendReservation(ReservationId id,
   STDCHK_RETURN_IF_ERROR(CheckUp());
   auto it = reservations_.find(id);
   if (it == reservations_.end()) return NotFoundError("unknown reservation");
-  it->second.bytes += additional_bytes;
   it->second.last_touch = clock_->NowUs();
   std::uint64_t per_node =
-      additional_bytes / it->second.stripe.size() + 1;
+      ReservationShare(additional_bytes, it->second.stripe.size());
+  it->second.per_node += per_node;
   for (NodeId node : it->second.stripe) registry_.AddReserved(node, per_node);
   return OkStatus();
 }
@@ -207,9 +214,8 @@ Result<NodeId> MetadataManager::ReplaceReservationNode(ReservationId id,
                           registry_.SelectStripe(1, res.stripe));
   // Hand the dead member's share of the eager reservation to the
   // replacement so the stripe's accounted capacity is unchanged.
-  std::uint64_t per_node = res.bytes / res.stripe.size() + 1;
-  registry_.ReleaseReserved(dead, per_node);
-  registry_.AddReserved(fresh[0], per_node);
+  registry_.ReleaseReserved(dead, res.per_node);
+  registry_.AddReserved(fresh[0], res.per_node);
   *slot = fresh[0];
   res.last_touch = clock_->NowUs();
   return fresh[0];
@@ -217,9 +223,8 @@ Result<NodeId> MetadataManager::ReplaceReservationNode(ReservationId id,
 
 void MetadataManager::ReleaseReservationLocked(
     std::map<ReservationId, Reservation>::iterator it) {
-  std::uint64_t per_node = it->second.bytes / it->second.stripe.size() + 1;
   for (NodeId node : it->second.stripe) {
-    registry_.ReleaseReserved(node, per_node);
+    registry_.ReleaseReserved(node, it->second.per_node);
   }
   reservations_.erase(it);
 }
@@ -307,12 +312,6 @@ Result<std::vector<CheckpointName>> MetadataManager::ListVersions(
 Result<std::vector<std::string>> MetadataManager::ListApps() const {
   STDCHK_RETURN_IF_ERROR(CheckUp());
   return catalog_.ListApps();
-}
-
-Result<std::vector<bool>> MetadataManager::FilterKnownChunks(
-    const std::vector<ChunkId>& ids) const {
-  STDCHK_RETURN_IF_ERROR(CheckUp());
-  return catalog_.KnownChunks(ids);
 }
 
 Result<std::vector<std::vector<NodeId>>> MetadataManager::LocateChunks(
@@ -438,7 +437,7 @@ std::vector<ShardRepairCommand> MetadataManager::TickShardRepair() {
   for (NodeId node : registry_.OnlineNodes()) online.insert(node);
 
   std::vector<ShardRepairCommand> commands;
-  for (const auto& dg : catalog_.FindDamagedGroups(online)) {
+  for (const ChunkLocation& group : catalog_.FindDamagedGroups(online)) {
     if (static_cast<int>(commands.size()) >=
         options_.max_replications_per_tick) {
       break;
@@ -447,49 +446,24 @@ std::vector<ShardRepairCommand> MetadataManager::TickShardRepair() {
     // placement invariant (one node death costs at most one shard) must
     // survive repair.
     std::vector<NodeId> exclude;
-    for (const ShardLocation& sl : dg.shards) {
+    for (const ShardLocation& sl : group.shards) {
       if (sl.node != kInvalidNode) exclude.push_back(sl.node);
     }
 
-    // The first k live shards source every rebuild of this group.
-    std::vector<int> src_indices;
-    std::vector<ChunkId> src_ids;
-    std::vector<NodeId> src_nodes;
-    for (std::size_t s = 0; s < dg.shards.size() &&
-                            src_indices.size() < static_cast<std::size_t>(dg.ec_k);
-         ++s) {
-      if (dg.shards[s].node == kInvalidNode) continue;
-      src_indices.push_back(static_cast<int>(s));
-      src_ids.push_back(dg.shards[s].id);
-      src_nodes.push_back(dg.shards[s].node);
-    }
-    if (src_indices.size() < static_cast<std::size_t>(dg.ec_k)) continue;
-
-    for (std::size_t s = 0; s < dg.shards.size(); ++s) {
+    for (std::size_t s = 0; s < group.shards.size(); ++s) {
       if (static_cast<int>(commands.size()) >=
           options_.max_replications_per_tick) {
         break;
       }
-      if (dg.shards[s].node != kInvalidNode) continue;
-      if (inflight_repairs_.contains(dg.shards[s].id)) continue;
+      if (group.shards[s].node != kInvalidNode) continue;
+      if (inflight_repairs_.contains(group.shards[s].id)) continue;
       auto stripe = registry_.SelectStripe(1, exclude);
       if (!stripe.ok()) break;  // no distinct target left for this group
       NodeId target = stripe.value()[0];
       exclude.push_back(target);
-      inflight_repairs_.insert(dg.shards[s].id);
-
-      ShardRepairCommand cmd;
-      cmd.group = dg.group;
-      cmd.chunk_size = dg.chunk_size;
-      cmd.ec_k = dg.ec_k;
-      cmd.ec_m = dg.ec_m;
-      cmd.missing_index = static_cast<int>(s);
-      cmd.missing_id = dg.shards[s].id;
-      cmd.source_indices = src_indices;
-      cmd.source_ids = src_ids;
-      cmd.source_nodes = src_nodes;
-      cmd.target = target;
-      commands.push_back(std::move(cmd));
+      inflight_repairs_.insert(group.shards[s].id);
+      commands.push_back(
+          ShardRepairCommand{group, static_cast<int>(s), target});
     }
   }
   return commands;
@@ -498,11 +472,14 @@ std::vector<ShardRepairCommand> MetadataManager::TickShardRepair() {
 Status MetadataManager::AckShardRepair(const ShardRepairCommand& cmd,
                                        bool success) {
   MutexLock lock(mu_);
-  inflight_repairs_.erase(cmd.missing_id);
+  const ChunkLocation& group = cmd.group;
+  const ChunkId& rebuilt =
+      group.shards[static_cast<std::size_t>(cmd.missing_index)].id;
+  inflight_repairs_.erase(rebuilt);
   if (!up_) return UnavailableError("metadata manager is down");
   if (success) {
-    catalog_.AddReplica(cmd.missing_id, cmd.target);
-    registry_.AddUsed(cmd.target, ErasureShardLength(cmd.chunk_size, cmd.ec_k,
+    catalog_.AddReplica(rebuilt, cmd.target);
+    registry_.AddUsed(cmd.target, ErasureShardLength(group.size, group.ec_k,
                                                      cmd.missing_index));
   }
   return OkStatus();

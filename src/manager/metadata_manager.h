@@ -114,13 +114,10 @@ class MetadataManager {
   Result<std::vector<CheckpointName>> ListVersions(const std::string& app) const;
   Result<std::vector<std::string>> ListApps() const;
 
-  // Dedup support (§IV.C content addressability): marks which of `ids` the
-  // system already stores, so the client skips transferring those chunks.
-  Result<std::vector<bool>> FilterKnownChunks(
-      const std::vector<ChunkId>& ids) const;
-
-  // Replica locations for each of `ids` (empty vector for unknown chunks).
-  // Used when a deduplicated chunk map must reference already-stored chunks.
+  // Dedup support (§IV.C content addressability): replica locations for
+  // each of `ids`, empty for a chunk the system does not store or holds on
+  // no live replica. A client references the non-empty ones instead of
+  // transferring them.
   Result<std::vector<std::vector<NodeId>>> LocateChunks(
       const std::vector<ChunkId>& ids) const;
 
@@ -150,8 +147,9 @@ class MetadataManager {
   // but still hold >= k live shards — the EC analogue of TickReplication:
   // repair restores the m-loss margin instead of a replica count. Shares
   // max_replications_per_tick (file creation keeps priority over repair).
-  // The caller executes each command (fetch k shards, reconstruct, verify,
-  // store) and must call AckShardRepair with the outcome.
+  // Each command names the group, the shard to rebuild and a target
+  // outside the group's holders; the caller reads any k shards, rebuilds,
+  // verifies and stores, and must call AckShardRepair with the outcome.
   std::vector<ShardRepairCommand> TickShardRepair();
   Status AckShardRepair(const ShardRepairCommand& cmd, bool success);
   std::size_t pending_shard_repairs() const EXCLUDES(mu_) {
@@ -190,7 +188,9 @@ class MetadataManager {
   struct Reservation {
     ReservationId id = 0;
     std::vector<NodeId> stripe;
-    std::uint64_t bytes = 0;
+    // Reserved bytes charged to each stripe member so far: release and
+    // migration hand back exactly this.
+    std::uint64_t per_node = 0;
     ClockTime last_touch = 0;
   };
 
@@ -208,7 +208,7 @@ class MetadataManager {
   // Control-plane lock, scoped to reservations_, inflight_, offers_ and
   // lost_chunks_. The registry is internally locked (rank kRegistry) and
   // the catalog is internally sharded and thread-safe, so catalog-only
-  // RPCs (reads, commits, deletes, dedup filters) never touch mu_ — they
+  // RPCs (reads, commits, deletes, dedup lookups) never touch mu_ — they
   // contend only on their shard. Lock order where several layers nest:
   // mu_ (kManager) before registry mu_ (kRegistry) before catalog shard
   // locks (kCatalogFolder/kCatalogChunk) — none of those call back into

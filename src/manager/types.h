@@ -95,24 +95,17 @@ struct ReplicationCommand {
 };
 
 // A single shard-repair command for an erasure-coded group that dropped
-// below full width but still has >= k live shards: fetch the k source
-// shards, reconstruct shard `missing_index`, verify it against its content
-// address, and store it on `target`. Issued by the manager's shard-repair
-// scheduler (the EC analogue of replication: repair restores the m-loss
-// margin instead of a replica count); executed by the transport layer;
-// acked back to the manager.
+// below full width but still has >= k live shards: rebuild shard
+// `missing_index` and store it on `target`. Issued by the manager's
+// shard-repair scheduler (the EC analogue of replication: repair restores
+// the m-loss margin instead of a replica count), which decides only what
+// to rebuild and where; the executor reads the group like any client and
+// decodes from whichever k shards answer. Acked back to the manager.
 struct ShardRepairCommand {
-  ChunkId group;                 // the whole-chunk (group head) address
-  std::uint32_t chunk_size = 0;  // shard widths derive from (size, k)
-  std::uint16_t ec_k = 0;
-  std::uint16_t ec_m = 0;
+  // The group as one erasure-coded chunk: one online holder per shard
+  // position, kInvalidNode where none is left.
+  ChunkLocation group;
   int missing_index = -1;        // shard position to rebuild (data first)
-  ChunkId missing_id;            // content address the rebuild must match
-  // Exactly k live sources, in shard order: parallel arrays of shard
-  // position, shard content address, and an online holder of each.
-  std::vector<int> source_indices;
-  std::vector<ChunkId> source_ids;
-  std::vector<NodeId> source_nodes;
   NodeId target = kInvalidNode;  // receives the rebuilt shard
 };
 

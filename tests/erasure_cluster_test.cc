@@ -164,7 +164,8 @@ TEST_F(ErasureClusterTest, ShardRepairRestoresFullWidth) {
 }
 
 // A rebuild moves its shards through the transport like any client op, so
-// a cut link to one of its k sources fails it until the link heals.
+// cut links that leave fewer than k shards reachable fail it until they
+// heal.
 TEST_F(ErasureClusterTest, ShardRepairWaitsForACutSourceLinkToHeal) {
   Bytes data = rng_.RandomBytes(4 * 4096);
   ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
@@ -173,10 +174,13 @@ TEST_F(ErasureClusterTest, ShardRepairWaitsForACutSourceLinkToHeal) {
   VersionRecord before = Record(Name(1));
   const ChunkLocation& first = before.chunk_map.chunks.front();
   NodeId dead = first.shards[0].node;
-  // The first k live shards source a rebuild: shard 1 is one of them.
+  // One holder dead and two cut leave 3 of the 6 shards reachable, one
+  // short of k.
   NodeId cut = first.shards[1].node;
+  NodeId cut_too = first.shards[2].node;
   ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
   cluster_->transport().SetUnreachable(cut, true);
+  cluster_->transport().SetUnreachable(cut_too, true);
 
   std::size_t repair_failures = 0;
   for (int i = 0; i < 30; ++i) {
@@ -187,6 +191,7 @@ TEST_F(ErasureClusterTest, ShardRepairWaitsForACutSourceLinkToHeal) {
             kInvalidNode);
 
   cluster_->transport().SetUnreachable(cut, false);
+  cluster_->transport().SetUnreachable(cut_too, false);
   repair_failures = 0;
   for (int i = 0; i < 30; ++i) {
     repair_failures += cluster_->Tick(1.0).shard_repair_failures;
@@ -196,6 +201,67 @@ TEST_F(ErasureClusterTest, ShardRepairWaitsForACutSourceLinkToHeal) {
   const ShardLocation& rebuilt = after.chunk_map.chunks.front().shards[0];
   EXPECT_EQ(rebuilt.id, first.shards[0].id);
   EXPECT_NE(rebuilt.node, kInvalidNode);
+  EXPECT_NE(rebuilt.node, dead);
+  auto read_back = cluster_->client().ReadFile(Name(1));
+  ASSERT_TRUE(read_back.ok());
+  EXPECT_EQ(read_back.value(), data);
+}
+
+// A rebuild reads the group like any client, so parity covers a cut holder:
+// the lost shard comes back while the link is still cut.
+TEST_F(ErasureClusterTest, ShardRepairFailsOverAroundOneCutSource) {
+  Bytes data = rng_.RandomBytes(4 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
+                                                             data.size()))
+                  .ok());
+  VersionRecord before = Record(Name(1));
+  const ChunkLocation& first = before.chunk_map.chunks.front();
+  NodeId dead = first.shards[0].node;
+  NodeId cut = first.shards[1].node;
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
+  cluster_->transport().SetUnreachable(cut, true);
+
+  for (int i = 0; i < 30; ++i) cluster_->Tick(1.0);
+  VersionRecord after = Record(Name(1));
+  const ShardLocation& rebuilt = after.chunk_map.chunks.front().shards[0];
+  EXPECT_EQ(rebuilt.id, first.shards[0].id);
+  ASSERT_NE(rebuilt.node, kInvalidNode);
+  EXPECT_NE(rebuilt.node, dead);
+  EXPECT_NE(rebuilt.node, cut);
+  auto read_back = cluster_->client().ReadFile(Name(1));
+  ASSERT_TRUE(read_back.ok());
+  EXPECT_EQ(read_back.value(), data);
+}
+
+// A chunk shorter than (k-1) shard widths has an empty tail data shard,
+// which a reader treats as present without a GET; it is still rebuilt and
+// stored when its holder departs.
+TEST_F(ErasureClusterTest, ShardRepairRestoresAnEmptyTailShard) {
+  Bytes data = rng_.RandomBytes(4096 + 5);  // chunk 2's data shards: 2,2,1,0
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
+                                                             data.size()))
+                  .ok());
+  VersionRecord before = Record(Name(1));
+  ASSERT_EQ(before.chunk_map.chunks.size(), 2u);
+  const ChunkLocation& tail = before.chunk_map.chunks[1];
+  ASSERT_EQ(tail.size, 5u);
+  ASSERT_EQ(ErasureShardLength(tail.size, kK, kK - 1), 0u);
+  NodeId dead = tail.shards[kK - 1].node;
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
+
+  std::size_t repairs = 0;
+  std::size_t repair_failures = 0;
+  for (int i = 0; i < 30; ++i) {
+    StdchkCluster::TickReport report = cluster_->Tick(1.0);
+    repairs += report.shard_repair_commands;
+    repair_failures += report.shard_repair_failures;
+  }
+  EXPECT_GT(repairs, 0u);
+  EXPECT_EQ(repair_failures, 0u);
+  VersionRecord after = Record(Name(1));
+  const ShardLocation& rebuilt = after.chunk_map.chunks[1].shards[kK - 1];
+  EXPECT_EQ(rebuilt.id, tail.shards[kK - 1].id);
+  ASSERT_NE(rebuilt.node, kInvalidNode);
   EXPECT_NE(rebuilt.node, dead);
   auto read_back = cluster_->client().ReadFile(Name(1));
   ASSERT_TRUE(read_back.ok());

@@ -130,10 +130,8 @@ TEST_F(FileCatalogTest, DeleteAppRemovesEverything) {
 
 TEST_F(FileCatalogTest, KnownChunksVector) {
   ASSERT_TRUE(catalog_.CommitVersion(MakeVersion("a", "n", 1, {Loc(1, 0, 10, {1})})).ok());
-  auto known = catalog_.KnownChunks({MakeChunkId(1), MakeChunkId(2)});
-  ASSERT_EQ(known.size(), 2u);
-  EXPECT_TRUE(known[0]);
-  EXPECT_FALSE(known[1]);
+  EXPECT_EQ(catalog_.ChunkReplicas(MakeChunkId(1)), std::vector<NodeId>{1});
+  EXPECT_TRUE(catalog_.ChunkReplicas(MakeChunkId(2)).empty());
 }
 
 TEST_F(FileCatalogTest, ReplicaTracking) {

@@ -212,7 +212,7 @@ void RunShardWorker(MetadataManager* manager, int thread_idx, int iterations) {
 
     if (i % 3 == 0) {
       ASSERT_TRUE(manager->GetVersion(name).ok());
-      (void)manager->FilterKnownChunks({record.chunk_map.chunks[0].id});
+      (void)manager->LocateChunks({record.chunk_map.chunks[0].id});
     }
     // Delete an older version of this thread's own app — but never one
     // referencing the shared dedup pool: erasing a shared chunk's last ref
