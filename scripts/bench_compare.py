@@ -16,8 +16,8 @@ rows and metrics are reported but never fail the gate — benches evolve.
 A second class of metrics is DETERMINISTIC: counts and invariants (payload
 copies, syscalls, fsyncs, mmap reads, placement RPCs,
 erasure shard puts/reconstructions/GC releases, chunk-boundary similarity
-and average chunk size) that depend only on the workload, not the
-hardware. These are compared exactly — any drift is a regression, because
+and average chunk size, GET ops of a modeled read) that depend only on
+the workload, not the hardware. These are compared exactly — any drift is a regression, because
 a copy or RPC appearing on a zero-copy / zero-RPC path, or a boundary
 moving, is a behavior change, not noise.
 
@@ -63,7 +63,11 @@ DETERMINISTIC = ("_payload_copies", "_copy_bytes", "materializations",
                  # Chunk boundaries: similarity between versions and the
                  # average chunk size are a pure function of the chunker
                  # and the seeded traces, so boundary drift shows here.
-                 "similarity_pct", "avg_chunk_kb")
+                 "similarity_pct", "avg_chunk_kb",
+                 # Read engine: GET ops per modeled read are a function of
+                 # the chunk map, the window and the link model's
+                 # completion order alone.
+                 "get_ops")
 
 
 def deterministic(name):

@@ -81,9 +81,12 @@ struct ClientOptions {
   // allocation).
   std::size_t reservation_extent = 256_MiB;
 
-  // Read path: chunks prefetched ahead of the reader's position. The read
-  // engine keeps up to read_ahead_chunks + 1 chunk fetches in flight
-  // (demand chunk + read-ahead window), overlapped across benefactors.
+  // Read path: read-ahead beyond the reader's position, counted in transfer
+  // chunks of `chunk_size` bytes. The read engine's window spans
+  // (read_ahead_chunks + 1) * chunk_size bytes from the demand chunk, and
+  // never fewer than read_ahead_chunks + 1 chunks, so files of small CbCH
+  // chunks keep as many bytes in flight as FsCH files do; its fetches
+  // overlap across benefactors.
   int read_ahead_chunks = 2;
 
   // Byte budget for the read-ahead cache. Chunks already consumed (or no

@@ -49,13 +49,20 @@ ReadSession::~ReadSession() {
 }
 
 std::size_t ReadSession::WindowEnd(std::size_t demand) const {
-  std::size_t ahead =
-      static_cast<std::size_t>(std::max(0, options_.read_ahead_chunks));
-  return std::min(record_.chunk_map.chunks.size() - 1, demand + ahead);
-}
-
-std::size_t ReadSession::MaxInflight() const {
-  return static_cast<std::size_t>(std::max(0, options_.read_ahead_chunks)) + 1;
+  const auto& chunks = record_.chunk_map.chunks;
+  const std::size_t slots =
+      static_cast<std::size_t>(std::max(0, options_.read_ahead_chunks)) + 1;
+  // Every chunk that starts within `slots` transfer chunks of the demand
+  // chunk's offset, and never fewer than `slots` chunks.
+  const std::uint64_t span_end =
+      chunks[demand].file_offset +
+      static_cast<std::uint64_t>(slots) * options_.chunk_size;
+  auto past = std::partition_point(
+      chunks.begin() + static_cast<std::ptrdiff_t>(demand) + 1, chunks.end(),
+      [&](const ChunkLocation& c) { return c.file_offset < span_end; });
+  const std::size_t by_bytes =
+      static_cast<std::size_t>(past - chunks.begin()) - 1;
+  return std::min(chunks.size() - 1, std::max(by_bytes, demand + slots - 1));
 }
 
 Result<NodeId> ReadSession::PickReplica(std::size_t index) {
@@ -101,18 +108,46 @@ Result<NodeId> ReadSession::PickReplica(std::size_t index) {
 Status ReadSession::PumpWindow(std::size_t demand) {
   const auto& chunks = record_.chunk_map.chunks;
   if (chunks.empty()) return OkStatus();
-  std::size_t window_end = WindowEnd(demand);
-  std::size_t max_inflight = MaxInflight();
+  const std::size_t window_end = WindowEnd(demand);
 
-  std::map<NodeId, std::vector<std::size_t>> queues;
+  // The window chunks not yet cached or in flight. Both sets are ordered
+  // by index, so one merge walk finds them without a lookup per chunk.
+  std::vector<std::size_t> unrequested;
+  std::uint64_t unrequested_bytes = 0;
+  auto cached = cache_index_.lower_bound(demand);
+  auto flying = inflight_chunks_.lower_bound(demand);
   for (std::size_t i = demand; i <= window_end; ++i) {
-    if (inflight_chunks_.size() >= max_inflight) break;
-    if (cache_index_.contains(i) || inflight_chunks_.contains(i)) continue;
+    if (cached != cache_index_.end() && cached->first == i) {
+      ++cached;
+      continue;
+    }
+    if (flying != inflight_chunks_.end() && *flying == i) {
+      ++flying;
+      continue;
+    }
     // Erasure-coded chunks bypass the replica window: ChunkData fetches
     // their shards on demand (already overlapped across k benefactors).
     // Exception: chunks ChunkData demoted to the replica path after a
     // failed shard recovery (mixed-mode fallback).
     if (chunks[i].erasure_coded() && !replica_fallback_.contains(i)) continue;
+    unrequested.push_back(i);
+    unrequested_bytes += chunks[i].size;
+  }
+  // Refill in bulk: while the demand chunk is on its way, wait until a
+  // whole transfer chunk's worth of the window is free, so small chunks
+  // share GETs. A window of chunk_size chunks refills one chunk at a time,
+  // as does the tail of the file, whose window cannot grow any further.
+  if (inflight_chunks_.contains(demand) && window_end + 1 < chunks.size() &&
+      unrequested_bytes < options_.chunk_size) {
+    return OkStatus();
+  }
+
+  // At most one window's worth of chunks in flight, counting any left over
+  // from an earlier window (random access).
+  const std::size_t max_inflight = window_end - demand + 1;
+  std::map<NodeId, std::vector<std::size_t>> queues;
+  for (std::size_t i : unrequested) {
+    if (inflight_chunks_.size() >= max_inflight) break;
     Result<NodeId> pick = PickReplica(i);
     if (!pick.ok()) {
       // Read-ahead misses stay soft; only the demand chunk is fatal.

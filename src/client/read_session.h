@@ -3,12 +3,20 @@
 // "improves read performance through read-ahead and high volume caching").
 // Reads matter for timely job restarts (§III.B).
 //
-// The engine keeps a bounded window of chunk fetches in flight — the demand
-// chunk plus ClientOptions::read_ahead_chunks of read-ahead — overlapping
-// transfers across distinct benefactors. Every fetch is one GET op
-// (ChunkOp::GetBatch) carrying one or more chunk ids: chunks of the window
-// that land on the same replica share one, and a chunk retried alone or an
-// erasure shard rides one of its own. Replica selection round-robins over
+// The engine keeps a bounded window of chunk fetches in flight, overlapping
+// transfers across distinct benefactors. The window is measured in bytes:
+// it holds every chunk that starts within (read_ahead_chunks + 1) transfer
+// chunks of ClientOptions::chunk_size bytes from the demand chunk's offset,
+// and never fewer than read_ahead_chunks + 1 chunks. A file cut into
+// chunk_size chunks gets the demand chunk plus read_ahead_chunks of
+// read-ahead; a file of small content-defined (CbCH) chunks gets as many
+// as fit. Every fetch is one GET op (ChunkOp::GetBatch) carrying one or
+// more chunk ids: chunks of the window that land on the same replica share
+// one, and a chunk retried alone or an erasure shard rides one of its own.
+// While the demand chunk is in flight the window refills in bulk, one
+// transfer chunk's worth of bytes at a time, so small chunks share GETs
+// instead of costing one round trip (and one content-check batch) each.
+// Replica selection round-robins over
 // each chunk's replica set, skips nodes already observed dead this session
 // before paying a failed RPC (retrying them only as a last resort), and
 // fails over per chunk. The read-ahead cache is
@@ -105,8 +113,8 @@ class ReadSession {
     NodeId node = kInvalidNode;
   };
 
+  // Last chunk of the window that opens at chunk `demand`.
   std::size_t WindowEnd(std::size_t demand) const;
-  std::size_t MaxInflight() const;
   // Selects a replica for chunk `index`: round-robin over its replica set,
   // skipping replicas that already failed for this chunk and nodes observed
   // dead this session (dead nodes are retried only when no live candidate
@@ -119,8 +127,12 @@ class ReadSession {
   Status Walk(std::uint64_t offset, std::uint64_t length,
               const std::function<void(ByteSpan)>& sink) REQUIRES(mu_);
   // Fills the in-flight window for demand position `demand`, coalescing
-  // same-replica chunks into one GET per node. Errors only if the demand chunk
-  // itself has no fetchable replica; read-ahead failures stay soft.
+  // same-replica chunks into one GET per node, with at most one window's
+  // chunk count in flight. While the demand chunk is in flight and the
+  // window has not reached the file's last chunk, submits nothing until
+  // the window's unrequested chunks hold at least chunk_size bytes. Errors
+  // only if the demand chunk itself has no fetchable replica; read-ahead
+  // failures stay soft.
   Status PumpWindow(std::size_t demand) REQUIRES(mu_);
   // Delivers one completion: caches payloads, or records the failure and
   // releases its chunks for failover resubmission. Blocks in the transport

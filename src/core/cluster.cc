@@ -69,20 +69,23 @@ Status StdchkCluster::RestartBenefactor(std::size_t idx) {
   return b.SendHeartbeat(*manager_);
 }
 
-Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
-  const ChunkLocation& group = cmd.group;
+std::vector<Status> StdchkCluster::ExecuteShardRepair(
+    std::span<const ShardRepairCommand> cmds) {
+  const ChunkLocation& group = cmds.front().group;
   VersionRecord record;
   record.size = group.size;
   record.chunk_map.chunks.push_back(group);
   ReadSession reader(&transport_, std::move(record), options_.client);
-  STDCHK_ASSIGN_OR_RETURN(Bytes chunk, reader.ReadAll());
+  Result<Bytes> chunk = reader.ReadAll();
+  if (!chunk.ok()) return std::vector<Status>(cmds.size(), chunk.status());
 
   // The chunk's k data shards are slices of it (an empty tail shard may
   // start past its end); the codec copies a data shard out or encodes a
-  // parity one from them.
+  // parity one from them. Outputs are full shard widths, which parity
+  // recovery needs, trimmed to each shard's stored length afterwards.
   const int k = group.ec_k;
   const std::size_t shard_size = ErasureShardSize(group.size, k);
-  const ByteSpan whole(chunk.data(), chunk.size());
+  const ByteSpan whole(chunk.value());
   std::vector<std::optional<ByteSpan>> views(group.shards.size());
   for (int s = 0; s < k; ++s) {
     std::size_t len = ErasureShardLength(group.size, k, s);
@@ -90,23 +93,42 @@ Status StdchkCluster::ExecuteShardRepair(const ShardRepairCommand& cmd) {
         len == 0 ? ByteSpan()
                  : whole.subspan(static_cast<std::size_t>(s) * shard_size, len);
   }
-  STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, group.ec_m));
-  Bytes rebuilt(ErasureShardLength(group.size, k, cmd.missing_index));
-  STDCHK_RETURN_IF_ERROR(
-      rs.RecoverShards(views, shard_size, {cmd.missing_index},
-                       {MutableByteSpan(rebuilt.data(), rebuilt.size())}));
-  const ChunkId& missing_id =
-      group.shards[static_cast<std::size_t>(cmd.missing_index)].id;
-  if (ChunkId::For(ByteSpan(rebuilt.data(), rebuilt.size())) != missing_id) {
-    return DataLossError("rebuilt shard failed content verification");
+  std::vector<int> want;
+  std::vector<Bytes> rebuilt(cmds.size(), Bytes(shard_size));
+  std::vector<MutableByteSpan> outs;
+  for (std::size_t c = 0; c < cmds.size(); ++c) {
+    want.push_back(cmds[c].missing_index);
+    outs.emplace_back(rebuilt[c]);
   }
+  Result<ReedSolomon> rs = ReedSolomon::Create(k, group.ec_m);
+  Status decoded = rs.ok()
+                       ? rs.value().RecoverShards(views, shard_size, want, outs)
+                       : rs.status();
+  if (!decoded.ok()) return std::vector<Status>(cmds.size(), decoded);
 
-  BufferSlice shard(BufferRef::Take(std::move(rebuilt)));
-  STDCHK_ASSIGN_OR_RETURN(
-      OpCompletion stored,
-      transport_.Wait(transport_.Submit(
-          ChunkOp::PutBatch(cmd.target, {{missing_id, shard}}))));
-  return stored.status;
+  // Each verified shard goes to its own target in one PUT, all in flight
+  // at once (a group's targets are distinct: TickShardRepair excludes
+  // each one it picks).
+  std::vector<Status> results(cmds.size());
+  std::vector<std::optional<OpHandle>> puts(cmds.size());
+  for (std::size_t c = 0; c < cmds.size(); ++c) {
+    const int index = cmds[c].missing_index;
+    rebuilt[c].resize(ErasureShardLength(group.size, k, index));
+    const ChunkId& id = group.shards[static_cast<std::size_t>(index)].id;
+    if (ChunkId::For(ByteSpan(rebuilt[c])) != id) {
+      results[c] = DataLossError("rebuilt shard failed content verification");
+      continue;
+    }
+    BufferSlice shard(BufferRef::Take(std::move(rebuilt[c])));
+    puts[c] =
+        transport_.Submit(ChunkOp::PutBatch(cmds[c].target, {{id, shard}}));
+  }
+  for (std::size_t c = 0; c < cmds.size(); ++c) {
+    if (!puts[c].has_value()) continue;
+    Result<OpCompletion> stored = transport_.Wait(*puts[c]);
+    results[c] = stored.ok() ? stored.value().status : stored.status();
+  }
+  return results;
 }
 
 StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
@@ -146,12 +168,24 @@ StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
 
   // 4b. Shard repair: rebuild erasure-coded shards whose holder departed,
   //     while the group still has >= k live shards to decode from.
+  //     TickShardRepair emits a group's commands back to back; each run of
+  //     them is rebuilt from one read of the group.
   std::vector<ShardRepairCommand> repairs = manager_->TickShardRepair();
   report.shard_repair_commands = repairs.size();
-  for (const ShardRepairCommand& cmd : repairs) {
-    Status repaired = ExecuteShardRepair(cmd);
-    if (!repaired.ok()) ++report.shard_repair_failures;
-    (void)manager_->AckShardRepair(cmd, repaired.ok());
+  for (std::size_t first = 0; first < repairs.size();) {
+    std::size_t last = first + 1;
+    while (last < repairs.size() &&
+           repairs[last].group.id == repairs[first].group.id) {
+      ++last;
+    }
+    std::span<const ShardRepairCommand> run(repairs.data() + first,
+                                            last - first);
+    std::vector<Status> repaired = ExecuteShardRepair(run);
+    for (std::size_t c = 0; c < run.size(); ++c) {
+      if (!repaired[c].ok()) ++report.shard_repair_failures;
+      (void)manager_->AckShardRepair(run[c], repaired[c].ok());
+    }
+    first = last;
   }
 
   // 5. GC exchange: each online benefactor reconciles against the live set.

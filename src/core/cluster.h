@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -89,13 +90,16 @@ class StdchkCluster {
   std::size_t Settle(std::size_t max_ticks = 64);
 
  private:
-  // Executes one shard-repair command: reads the group through the read
-  // engine (any k reachable shards, parity covering a failed holder, the
-  // chunk checked against its address), derives the missing shard from the
-  // chunk's data, verifies it against its own address, and PUTs it to the
-  // target. Link cuts, loss draws and the traffic counters see a rebuild
-  // like any client op.
-  Status ExecuteShardRepair(const ShardRepairCommand& cmd);
+  // Executes the shard-repair commands of one damaged group (all with the
+  // same group.id): reads the group once through the read engine (any k
+  // reachable shards, parity covering a failed holder, the chunk checked
+  // against its address), derives every missing shard from the chunk's
+  // data in one decode, verifies each against its own address, and PUTs
+  // each to its command's target. Returns one status per command: a failed
+  // read fails them all, a failed check or PUT only its own. Link cuts,
+  // loss draws and the traffic counters see a rebuild like any client op.
+  std::vector<Status> ExecuteShardRepair(
+      std::span<const ShardRepairCommand> cmds);
 
   ClusterOptions options_;
   VirtualClock clock_;

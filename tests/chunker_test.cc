@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
+#include <set>
 #include <thread>
 #include <unordered_set>
 
@@ -425,12 +426,15 @@ CbchParams DrawGearParams(Rng& rng) {
   return params;
 }
 
-// For every input and piece size, compares `draws` seeded parameter sets.
-// Pieces under 4 KiB feed only a 200 KiB prefix, to keep the byte-at-a-time
-// cases short.
+// For every input and piece size of `pieces`, draws `draws` seeded
+// parameter sets, and compares those drawn for the pieces in `checked`.
+// Drawing for every piece gives each (input, piece) the same params
+// whichever pieces a case checks. Pieces under 4 KiB feed only a 200 KiB
+// prefix, to keep the byte-at-a-time cases short.
 void ExpectGearMatchesOracle(std::uint64_t seed,
                              const std::vector<std::size_t>& pieces,
-                             int draws) {
+                             int draws,
+                             const std::set<std::size_t>& checked) {
   Rng rng(seed);
   for (const OracleInput& input : OracleInputs()) {
     for (std::size_t piece : pieces) {
@@ -438,6 +442,7 @@ void ExpectGearMatchesOracle(std::uint64_t seed,
       if (piece < 4096) data = data.first(200u << 10);
       for (int d = 0; d < draws; ++d) {
         CbchParams params = DrawGearParams(rng);
+        if (!checked.contains(piece)) continue;
         ContentBasedChunker chunker(params);
         ASSERT_EQ(FeedInPieces(chunker, data, piece),
                   SerialGearEnds(params, data))
@@ -453,8 +458,18 @@ const std::vector<std::size_t> kOraclePieces = {
     1, 997, (64u << 10) - 1, 64u << 10, (64u << 10) + 1, 256u << 10, 1u << 20,
     1u << 30};
 
+// Pieces above one segment: the scanner marks their segments on the shared
+// HashPool.
 TEST(CbchGearOracleTest, MatchesSerialLoopOverSeededGrid) {
-  ExpectGearMatchesOracle(7, kOraclePieces, 8);
+  ExpectGearMatchesOracle(7, kOraclePieces, 8,
+                          {(64u << 10) + 1, 256u << 10, 1u << 20, 1u << 30});
+}
+
+// Pieces of at most one segment: each Feed marks on the calling thread,
+// without touching the pool.
+TEST(CbchGearOracleTest, MatchesSerialLoopInOneSegmentPieces) {
+  ExpectGearMatchesOracle(7, kOraclePieces, 8,
+                          {1, 997, (64u << 10) - 1, 64u << 10});
 }
 
 // A boundary a few bytes before a piece's end leaves the min_chunk skip and
@@ -502,7 +517,9 @@ TEST(CbchGearOracleTest, MatchesSerialLoopWhileThePoolIsBusy) {
       }
     });
   }
-  ExpectGearMatchesOracle(9, {(64u << 10) + 1, 1u << 20, 1u << 30}, 3);
+  const std::vector<std::size_t> pieces = {(64u << 10) + 1, 1u << 20,
+                                           1u << 30};
+  ExpectGearMatchesOracle(9, pieces, 3, {pieces.begin(), pieces.end()});
   stop.store(true);
   for (std::thread& t : hogs) t.join();
 }

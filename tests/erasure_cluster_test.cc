@@ -296,6 +296,53 @@ TEST_F(ErasureClusterTest, ShardRepairTrafficShowsOnTheTransport) {
   EXPECT_EQ(rebuilds, 1u);
 }
 
+// A group that lost two shards is read once: k shard GETs (parity standing
+// in for the lost data shards) and one PUT per rebuilt shard.
+TEST_F(ErasureClusterTest, ShardRepairReadsAGroupOnceForAllItsLostShards) {
+  Bytes data = rng_.RandomBytes(4096);  // one chunk: shards of 1 KiB
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),
+                                                             data.size()))
+                  .ok());
+  VersionRecord before = Record(Name(1));
+  ASSERT_EQ(before.chunk_map.chunks.size(), 1u);
+  const ChunkLocation& group = before.chunk_map.chunks.front();
+  const NodeId dead[] = {group.shards[0].node, group.shards[1].node};
+  for (NodeId node : dead) {
+    ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(node)).ok());
+  }
+
+  const std::uint64_t shard_bytes = ErasureShardSize(4096, kK);
+  LocalTransport& transport = cluster_->transport();
+  std::size_t rebuilds = 0;
+  for (int i = 0; i < 30 && rebuilds == 0; ++i) {
+    std::uint64_t rpcs = transport.rpc_count();
+    std::uint64_t moved = transport.bytes_moved();
+    StdchkCluster::TickReport report = cluster_->Tick(1.0);
+    if (report.shard_repair_commands == 0) continue;
+    rebuilds = report.shard_repair_commands;
+    EXPECT_EQ(report.shard_repair_failures, 0u);
+    EXPECT_EQ(report.replication_commands, 0u);
+    EXPECT_EQ(transport.rpc_count() - rpcs, kK + 2u);
+    EXPECT_EQ(transport.bytes_moved() - moved, (kK + 2u) * shard_bytes);
+  }
+  EXPECT_EQ(rebuilds, 2u);
+
+  VersionRecord after = Record(Name(1));
+  const ChunkLocation& repaired = after.chunk_map.chunks.front();
+  std::set<NodeId> targets;
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(repaired.shards[s].id, group.shards[s].id);
+    ASSERT_NE(repaired.shards[s].node, kInvalidNode);
+    EXPECT_NE(repaired.shards[s].node, dead[0]);
+    EXPECT_NE(repaired.shards[s].node, dead[1]);
+    targets.insert(repaired.shards[s].node);
+  }
+  EXPECT_EQ(targets.size(), 2u);
+  auto read_back = cluster_->client().ReadFile(Name(1));
+  ASSERT_TRUE(read_back.ok());
+  EXPECT_EQ(read_back.value(), data);
+}
+
 TEST_F(ErasureClusterTest, LosingMoreThanMShardsReportsTheGroupLost) {
   Bytes data = rng_.RandomBytes(2 * 4096);
   ASSERT_TRUE(cluster_->client().WriteFile(Name(1), ByteSpan(data.data(),

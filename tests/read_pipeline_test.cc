@@ -1,11 +1,13 @@
 // The pipelined read engine: byte-for-byte equivalence with serial reads,
 // overlapping fetches across benefactors, batch GETs inside the prefetch
-// window, failover on mid-read benefactor death, dead-replica skipping, the
+// window, a window sized in bytes in which small chunks share GETs,
+// failover on mid-read benefactor death, dead-replica skipping, the
 // read-ahead byte budget, and in-flight-window backpressure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
 #include "client/read_session.h"
 #include "common/rng.h"
@@ -44,28 +46,42 @@ class ReadPipelineTest : public ::testing::Test {
   Rng rng_{1234};
 };
 
-// Writes each corpus image to `cluster` and reads it back at several
-// read-ahead depths.
+// A writer that cuts chunks at 1/16 of the transfer chunk size, standing in
+// for content-defined chunks: a reader's byte window holds 16 times as many
+// of them as of chunk_size chunks.
+std::unique_ptr<ClientProxy> SmallChunkWriter(StdchkCluster& cluster) {
+  ClientOptions options = cluster.client().options();
+  options.chunker =
+      std::make_shared<FixedSizeChunker>(options.chunk_size / 16);
+  return cluster.MakeClient(options);
+}
+
+// Writes each corpus image to `cluster`, cut into chunk_size chunks and into
+// small ones, and reads it back at several read-ahead depths.
 void ExpectPipelinedEqualsSerial(StdchkCluster& cluster, Rng& rng) {
   // Seed corpus: empty-ish, sub-chunk, chunk-aligned, off-by-one, large.
   const std::size_t chunk = cluster.client().options().chunk_size;
   const std::size_t sizes[] = {1,         chunk / 2,     chunk,
                                chunk + 1, 10 * chunk + 500,
                                37 * chunk + 7};
+  auto small_chunks = SmallChunkWriter(cluster);
   std::uint64_t t = 1;
-  for (std::size_t size : sizes) {
-    Bytes data = rng.RandomBytes(size);
-    ASSERT_TRUE(cluster.client().WriteFile(Name(t), data).ok());
-    for (int read_ahead : {0, 2, 8}) {
-      ClientOptions options = cluster.client().options();
-      options.read_ahead_chunks = read_ahead;
-      auto reader = cluster.MakeClient(options);
-      auto got = reader->ReadFile(Name(t));
-      ASSERT_TRUE(got.ok()) << "size " << size << " ra " << read_ahead << ": "
-                            << got.status();
-      EXPECT_EQ(got.value(), data) << "size " << size << " ra " << read_ahead;
+  for (ClientProxy* writer : {&cluster.client(), small_chunks.get()}) {
+    for (std::size_t size : sizes) {
+      Bytes data = rng.RandomBytes(size);
+      ASSERT_TRUE(writer->WriteFile(Name(t), data).ok());
+      for (int read_ahead : {0, 2, 8}) {
+        ClientOptions options = cluster.client().options();
+        options.read_ahead_chunks = read_ahead;
+        auto reader = cluster.MakeClient(options);
+        auto got = reader->ReadFile(Name(t));
+        ASSERT_TRUE(got.ok()) << "size " << size << " ra " << read_ahead
+                              << ": " << got.status();
+        EXPECT_EQ(got.value(), data) << "size " << size << " ra "
+                                     << read_ahead;
+      }
+      ++t;
     }
-    ++t;
   }
 }
 
@@ -134,6 +150,31 @@ TEST_F(ReadPipelineTest, PrefetchWindowCoalescesBatchGets) {
   EXPECT_LT(session.value()->stats().batch_gets +
                 session.value()->stats().single_gets,
             16u);
+}
+
+TEST_F(ReadPipelineTest, SmallChunksShareGetsInAByteWindow) {
+  // 1,024 chunks of kChunk / 16 bytes. The window spans 3 * kChunk bytes
+  // (48 chunks) and refills a kChunk's worth at a time, so each refill is
+  // about one GET per stripe node instead of one per chunk.
+  const std::size_t size = 64 * kChunk;
+  Bytes data = rng_.RandomBytes(size);
+  ASSERT_TRUE(SmallChunkWriter(*cluster_)->WriteFile(Name(1), data).ok());
+
+  const ClientOptions o = ReaderOptions(2);
+  auto reader = cluster_->MakeClient(o);
+  auto session = reader->OpenFile(Name(1));
+  ASSERT_TRUE(session.ok());
+  auto all = session.value()->ReadAll();
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all.value(), data);
+
+  const ReadStats stats = session.value()->stats();
+  EXPECT_EQ(stats.chunks_fetched, 1024u);
+  EXPECT_LE(stats.single_gets + stats.batch_gets,
+            2u * static_cast<std::size_t>(o.stripe_width) * size /
+                o.chunk_size);
+  EXPECT_GT(stats.inflight_peak,
+            static_cast<std::size_t>(o.read_ahead_chunks) + 1);
 }
 
 TEST_F(ReadPipelineTest, FailsOverWhenBenefactorDiesMidRead) {
