@@ -73,8 +73,10 @@ int main() {
               returned);
   std::printf("  retained versions (policy keeps last 2): %zu\n",
               versions.size());
+  bool all_readable = true;
   for (const CheckpointName& name : versions) {
     auto data = cluster.client().ReadFile(name);
+    all_readable = all_readable && data.ok();
     std::printf("  %s: %s\n", name.ToString().c_str(),
                 data.ok() ? "readable, restart possible"
                           : data.status().ToString().c_str());
@@ -86,5 +88,5 @@ int main() {
   }
   std::printf("  scavenged space in use: %llu MB (2 replicas x 2 images)\n",
               static_cast<unsigned long long>(stored >> 20));
-  return 0;
+  return all_readable ? 0 : 1;
 }

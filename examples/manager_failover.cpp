@@ -47,13 +47,16 @@ int main() {
   cluster.Tick(1.0);
   cluster.Tick(1.0);
 
+  bool all_match = true;
   for (std::uint64_t t : {1ull, 2ull}) {
     auto data = cluster.client().ReadFile(CheckpointName{"job", "n0", t});
     bool match = data.ok() && (t == 1 ? data.value() == t1 : data.value() == t2);
+    all_match = all_match && match;
     std::printf("T%llu after failover: %s\n",
                 static_cast<unsigned long long>(t),
-                match ? "readable, content verified"
-                      : data.status().ToString().c_str());
+                match       ? "readable, content verified"
+                : data.ok() ? "content differs from what was written"
+                            : data.status().ToString().c_str());
   }
 
   // --- Life goes on.
@@ -62,5 +65,5 @@ int main() {
   std::printf("T3 after failover: %s\n",
               next.ok() ? "committed" : next.status().ToString().c_str());
   cluster.Settle();
-  return 0;
+  return all_match ? 0 : 1;
 }

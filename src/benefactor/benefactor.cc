@@ -112,12 +112,6 @@ Status Benefactor::VerifyChunk(const ChunkId& id, const BufferSlice& data) {
   return OkStatus();
 }
 
-Result<BufferSlice> Benefactor::GetChunk(const ChunkId& id) const {
-  STDCHK_ASSIGN_OR_RETURN(BufferSlice data, ReadChunk(id));
-  STDCHK_RETURN_IF_ERROR(VerifyChunk(id, data));
-  return data;
-}
-
 bool Benefactor::HasChunk(const ChunkId& id) const {
   return online_ && store_->Contains(id);
 }

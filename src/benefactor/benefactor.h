@@ -7,9 +7,9 @@
 // support the manager-recovery protocol.
 //
 // Every chunk reaches a benefactor through PutChunkBatch, called by the
-// transport for client puts, replication copies and shard repair alike.
+// transport for client puts and repaired copies alike.
 //
-// Threading: the data path (PutChunkBatch/ReadChunk/GetChunk/HasChunk) and
+// Threading: the data path (PutChunkBatch/ReadChunk/HasChunk) and
 // the stash are safe for concurrent use. Transports call them from many
 // client threads at once, while a single background pump
 // (core/StdchkCluster::Tick or core/BackgroundDriver) runs JoinPool, the GC
@@ -56,7 +56,7 @@ class Benefactor {
   // Disk scavenged space was wiped (or the disk failed): contents are gone.
   void Wipe() EXCLUDES(mu_);
 
-  // ---- Data path (invoked by clients / replication / repair) --------------
+  // ---- Data path (invoked by clients and repair) ----------------------------
   // The one put admission: one RPC admits one or more chunks (a single
   // chunk is a batch of one). Each chunk must hash to its id before
   // anything is stored — content addressability doubles as an integrity
@@ -83,9 +83,6 @@ class Benefactor {
   // unstamped ones (disk reads) pay the full re-hash. A pure function of
   // immutable bytes: safe on any thread, takes no lock.
   static Status VerifyChunk(const ChunkId& id, const BufferSlice& data);
-
-  // ReadChunk + VerifyChunk: the verified read.
-  Result<BufferSlice> GetChunk(const ChunkId& id) const;
 
   bool HasChunk(const ChunkId& id) const;
   // I/O-shape counters from the backing store (segment-log syscalls, mmap

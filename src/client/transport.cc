@@ -29,13 +29,4 @@ ChunkOp ChunkOp::Stash(NodeId node, VersionRecord record, int stripe_width) {
   return op;
 }
 
-ChunkOp ChunkOp::Copy(const ChunkId& id, NodeId source, NodeId target) {
-  ChunkOp op;
-  op.type = ChunkOpType::kCopyChunk;
-  op.node = source;
-  op.target = target;
-  op.id = id;
-  return op;
-}
-
 }  // namespace stdchk

@@ -11,10 +11,11 @@
 // pay off. Implementations model time on the sim clock (sim/LinkModel), so
 // the same functional code path reproduces paper-figure timing.
 //
-// Every cross-node side effect is one op of four kinds: a batch PUT, a
-// batch GET, a chunk-map stash and a donor-to-donor copy. A single chunk
-// travels as a batch of one. Client I/O, background replication and shard
-// repair all Submit; Wait(Submit(op)) is the blocking form.
+// Every cross-node side effect is one op of three kinds, each addressed to
+// one node: a batch PUT, a batch GET and a chunk-map stash. A single chunk
+// travels as a batch of one. Client I/O and background repair all Submit: a
+// repair reads the chunk like a client and PUTs each rebuilt copy.
+// Wait(Submit(op)) is the blocking form.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@ enum class ChunkOpType {
   kPutChunkBatch,
   kGetChunkBatch,
   kStashChunkMap,
-  kCopyChunk,
 };
 
 // One submission. Build via the factory helpers. The slices inside `puts`
@@ -41,9 +41,7 @@ enum class ChunkOpType {
 // alias the same buffers.
 struct ChunkOp {
   ChunkOpType type = ChunkOpType::kGetChunkBatch;
-  NodeId node = kInvalidNode;    // target node (source node for kCopyChunk)
-  NodeId target = kInvalidNode;  // kCopyChunk destination
-  ChunkId id{};                  // kCopyChunk
+  NodeId node = kInvalidNode;    // the one node the op addresses
   // Carried by no op. bench/suite's TimedTransport still adds it to an
   // op's payload bytes, so it goes with the next change to the benchmark.
   BufferSlice data;
@@ -55,7 +53,6 @@ struct ChunkOp {
   static ChunkOp PutBatch(NodeId node, std::vector<ChunkPut> puts);
   static ChunkOp GetBatch(NodeId node, std::vector<ChunkId> ids);
   static ChunkOp Stash(NodeId node, VersionRecord record, int stripe_width);
-  static ChunkOp Copy(const ChunkId& id, NodeId source, NodeId target);
 };
 
 // Ticket for an in-flight op. Valid until its completion is delivered by

@@ -69,59 +69,69 @@ Status StdchkCluster::RestartBenefactor(std::size_t idx) {
   return b.SendHeartbeat(*manager_);
 }
 
-std::vector<Status> StdchkCluster::ExecuteShardRepair(
-    std::span<const ShardRepairCommand> cmds) {
-  const ChunkLocation& group = cmds.front().group;
+std::vector<Status> StdchkCluster::ExecuteRepair(
+    std::span<const RepairCommand> cmds) {
+  const ChunkLocation& chunk = cmds.front().chunk;
   VersionRecord record;
-  record.size = group.size;
-  record.chunk_map.chunks.push_back(group);
+  record.size = chunk.size;
+  record.chunk_map.chunks.push_back(chunk);
   ReadSession reader(&transport_, std::move(record), options_.client);
-  Result<Bytes> chunk = reader.ReadAll();
-  if (!chunk.ok()) return std::vector<Status>(cmds.size(), chunk.status());
+  Result<Bytes> read = reader.ReadAll();
+  if (!read.ok()) return std::vector<Status>(cmds.size(), read.status());
 
-  // The chunk's k data shards are slices of it (an empty tail shard may
-  // start past its end); the codec copies a data shard out or encodes a
-  // parity one from them. Outputs are full shard widths, which parity
-  // recovery needs, trimmed to each shard's stored length afterwards.
-  const int k = group.ec_k;
-  const std::size_t shard_size = ErasureShardSize(group.size, k);
-  const ByteSpan whole(chunk.value());
-  std::vector<std::optional<ByteSpan>> views(group.shards.size());
-  for (int s = 0; s < k; ++s) {
-    std::size_t len = ErasureShardLength(group.size, k, s);
-    views[static_cast<std::size_t>(s)] =
-        len == 0 ? ByteSpan()
-                 : whole.subspan(static_cast<std::size_t>(s) * shard_size, len);
-  }
-  std::vector<int> want;
-  std::vector<Bytes> rebuilt(cmds.size(), Bytes(shard_size));
-  std::vector<MutableByteSpan> outs;
-  for (std::size_t c = 0; c < cmds.size(); ++c) {
-    want.push_back(cmds[c].missing_index);
-    outs.emplace_back(rebuilt[c]);
-  }
-  Result<ReedSolomon> rs = ReedSolomon::Create(k, group.ec_m);
-  Status decoded = rs.ok()
-                       ? rs.value().RecoverShards(views, shard_size, want, outs)
-                       : rs.status();
-  if (!decoded.ok()) return std::vector<Status>(cmds.size(), decoded);
-
-  // Each verified shard goes to its own target in one PUT, all in flight
-  // at once (a group's targets are distinct: TickShardRepair excludes
-  // each one it picks).
+  // Each copy goes to its own target in one PUT, all in flight at once (a
+  // chunk's targets are distinct: both schedulers exclude each target they
+  // pick).
   std::vector<Status> results(cmds.size());
   std::vector<std::optional<OpHandle>> puts(cmds.size());
-  for (std::size_t c = 0; c < cmds.size(); ++c) {
-    const int index = cmds[c].missing_index;
-    rebuilt[c].resize(ErasureShardLength(group.size, k, index));
-    const ChunkId& id = group.shards[static_cast<std::size_t>(index)].id;
-    if (ChunkId::For(ByteSpan(rebuilt[c])) != id) {
-      results[c] = DataLossError("rebuilt shard failed content verification");
-      continue;
+  auto put = [&](std::size_t c, const ChunkId& id, BufferSlice copy) {
+    puts[c] = transport_.Submit(
+        ChunkOp::PutBatch(cmds[c].target, {{id, std::move(copy)}}));
+  };
+  if (cmds.front().missing_index < 0) {
+    // A replica is the chunk itself. The read checked it against its
+    // address, so the stamp spares each target's admission a second hash.
+    BufferSlice whole(BufferRef::Take(std::move(read).value()));
+    whole.StampDigest(chunk.id.digest);
+    for (std::size_t c = 0; c < cmds.size(); ++c) put(c, chunk.id, whole);
+  } else {
+    // The chunk's k data shards are slices of it (an empty tail shard may
+    // start past its end); the codec copies a data shard out or encodes a
+    // parity one from them. Outputs are full shard widths, which parity
+    // recovery needs, trimmed to each shard's stored length afterwards.
+    const int k = chunk.ec_k;
+    const std::size_t shard_size = ErasureShardSize(chunk.size, k);
+    const ByteSpan whole(read.value());
+    std::vector<std::optional<ByteSpan>> views(chunk.shards.size());
+    for (int s = 0; s < k; ++s) {
+      std::size_t len = ErasureShardLength(chunk.size, k, s);
+      views[static_cast<std::size_t>(s)] =
+          len == 0
+              ? ByteSpan()
+              : whole.subspan(static_cast<std::size_t>(s) * shard_size, len);
     }
-    BufferSlice shard(BufferRef::Take(std::move(rebuilt[c])));
-    puts[c] =
-        transport_.Submit(ChunkOp::PutBatch(cmds[c].target, {{id, shard}}));
+    std::vector<int> want;
+    std::vector<Bytes> rebuilt(cmds.size(), Bytes(shard_size));
+    std::vector<MutableByteSpan> outs;
+    for (std::size_t c = 0; c < cmds.size(); ++c) {
+      want.push_back(cmds[c].missing_index);
+      outs.emplace_back(rebuilt[c]);
+    }
+    Result<ReedSolomon> rs = ReedSolomon::Create(k, chunk.ec_m);
+    Status decoded =
+        rs.ok() ? rs.value().RecoverShards(views, shard_size, want, outs)
+                : rs.status();
+    if (!decoded.ok()) return std::vector<Status>(cmds.size(), decoded);
+    for (std::size_t c = 0; c < cmds.size(); ++c) {
+      const int index = cmds[c].missing_index;
+      rebuilt[c].resize(ErasureShardLength(chunk.size, k, index));
+      const ChunkId& id = chunk.shards[static_cast<std::size_t>(index)].id;
+      if (ChunkId::For(ByteSpan(rebuilt[c])) != id) {
+        results[c] = DataLossError("rebuilt shard failed content verification");
+        continue;
+      }
+      put(c, id, BufferSlice(BufferRef::Take(std::move(rebuilt[c]))));
+    }
   }
   for (std::size_t c = 0; c < cmds.size(); ++c) {
     if (!puts[c].has_value()) continue;
@@ -154,39 +164,35 @@ StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
   report.purged = manager_->TickRetention();
   manager_->TickReservationGc();
 
-  // 4. Background replication: manager issues shadow-map copy commands;
-  //    the transport executes benefactor-to-benefactor copies.
-  std::vector<ReplicationCommand> commands = manager_->TickReplication();
-  report.replication_commands = commands.size();
-  for (const ReplicationCommand& cmd : commands) {
-    Result<OpCompletion> copied = transport_.Wait(
-        transport_.Submit(ChunkOp::Copy(cmd.chunk, cmd.source, cmd.target)));
-    bool ok = copied.ok() && copied.value().status.ok();
-    if (!ok) ++report.replication_failures;
-    (void)manager_->AckReplication(cmd, ok);
-  }
-
-  // 4b. Shard repair: rebuild erasure-coded shards whose holder departed,
-  //     while the group still has >= k live shards to decode from.
-  //     TickShardRepair emits a group's commands back to back; each run of
-  //     them is rebuilt from one read of the group.
-  std::vector<ShardRepairCommand> repairs = manager_->TickShardRepair();
-  report.shard_repair_commands = repairs.size();
-  for (std::size_t first = 0; first < repairs.size();) {
-    std::size_t last = first + 1;
-    while (last < repairs.size() &&
-           repairs[last].group.id == repairs[first].group.id) {
-      ++last;
+  // 4. Background repair, replicas first, so shard targets see the replica
+  //    acks' space. Each scheduler emits a chunk's commands back to back,
+  //    and each run of them is rebuilt from one read of the chunk: any live
+  //    holder of a replica, or any k shards of an erasure-coded group
+  //    (4b), whose holders departed while >= k live shards remain.
+  auto repair = [this](const std::vector<RepairCommand>& cmds) {
+    std::size_t failures = 0;
+    for (std::size_t first = 0; first < cmds.size();) {
+      std::size_t last = first + 1;
+      while (last < cmds.size() &&
+             cmds[last].chunk.id == cmds[first].chunk.id) {
+        ++last;
+      }
+      std::span<const RepairCommand> run(cmds.data() + first, last - first);
+      std::vector<Status> repaired = ExecuteRepair(run);
+      for (std::size_t c = 0; c < run.size(); ++c) {
+        if (!repaired[c].ok()) ++failures;
+        (void)manager_->AckRepair(run[c], repaired[c].ok());
+      }
+      first = last;
     }
-    std::span<const ShardRepairCommand> run(repairs.data() + first,
-                                            last - first);
-    std::vector<Status> repaired = ExecuteShardRepair(run);
-    for (std::size_t c = 0; c < run.size(); ++c) {
-      if (!repaired[c].ok()) ++report.shard_repair_failures;
-      (void)manager_->AckShardRepair(run[c], repaired[c].ok());
-    }
-    first = last;
-  }
+    return failures;
+  };
+  std::vector<RepairCommand> replicas = manager_->TickReplication();
+  report.replication_commands = replicas.size();
+  report.replication_failures = repair(replicas);
+  std::vector<RepairCommand> shards = manager_->TickShardRepair();
+  report.shard_repair_commands = shards.size();
+  report.shard_repair_failures = repair(shards);
 
   // 5. GC exchange: each online benefactor reconciles against the live set.
   for (auto& b : benefactors_) {

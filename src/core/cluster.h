@@ -2,9 +2,10 @@
 //
 // Wires a metadata manager, a pool of benefactors, an in-process transport
 // and client proxies into one object, and pumps all background work
-// (heartbeats, soft-state expiry, replication, GC exchanges, retention,
-// reservation GC) through a single deterministic Tick(). Examples that want
-// wall-clock behaviour wrap Tick() in core/BackgroundDriver.
+// (heartbeats, soft-state expiry, replica and shard repair, GC exchanges,
+// retention, reservation GC) through a single deterministic Tick().
+// Examples that want wall-clock behaviour wrap Tick() in
+// core/BackgroundDriver.
 #pragma once
 
 #include <functional>
@@ -85,21 +86,21 @@ class StdchkCluster {
   // every background protocol in dependency order.
   TickReport Tick(double advance_seconds = 1.0);
 
-  // Runs Tick() until replication has converged and GC has drained, or
+  // Runs Tick() until repair has converged and GC has drained, or
   // `max_ticks` rounds elapse. Returns ticks used.
   std::size_t Settle(std::size_t max_ticks = 64);
 
  private:
-  // Executes the shard-repair commands of one damaged group (all with the
-  // same group.id): reads the group once through the read engine (any k
-  // reachable shards, parity covering a failed holder, the chunk checked
-  // against its address), derives every missing shard from the chunk's
-  // data in one decode, verifies each against its own address, and PUTs
-  // each to its command's target. Returns one status per command: a failed
-  // read fails them all, a failed check or PUT only its own. Link cuts,
-  // loss draws and the traffic counters see a rebuild like any client op.
-  std::vector<Status> ExecuteShardRepair(
-      std::span<const ShardRepairCommand> cmds);
+  // Executes the repair commands of one chunk (all with the same
+  // chunk.id): reads the chunk once through the read engine (any live
+  // holder, with the engine's failover, or any k reachable shards of a
+  // group, the chunk checked against its address), derives each copy (the
+  // chunk itself for a replica; for a shard, every missing one in one
+  // decode, each verified against its own address) and PUTs each to its
+  // command's target. Returns one status per command: a failed read fails
+  // them all, a failed check or PUT only its own. Link cuts, loss draws and
+  // the traffic counters see a repair like any client op.
+  std::vector<Status> ExecuteRepair(std::span<const RepairCommand> cmds);
 
   ClusterOptions options_;
   VirtualClock clock_;

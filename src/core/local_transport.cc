@@ -60,7 +60,8 @@ std::size_t LocalTransport::InFlight() const {
   return pending_.size();
 }
 
-Result<Benefactor*> LocalTransport::RouteLocked(NodeId node) {
+Result<Benefactor*> LocalTransport::Route(NodeId node) {
+  MutexLock lock(mu_);
   ++rpc_count_;
   auto it = endpoints_.find(node);
   if (it == endpoints_.end()) {
@@ -81,11 +82,6 @@ const sim::LinkModel& LocalTransport::LinkLocked(NodeId node) const {
   static constexpr sim::LinkModel kZeroLink{};
   auto it = links_.find(node);
   return it != links_.end() ? it->second : kZeroLink;
-}
-
-Result<Benefactor*> LocalTransport::Route(NodeId node) {
-  MutexLock lock(mu_);
-  return RouteLocked(node);
 }
 
 struct LocalTransport::ReadCheck {
@@ -113,13 +109,12 @@ struct LocalTransport::ReadCheck {
   }
 };
 
-LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
-                                                Pending& p) {
+std::uint64_t LocalTransport::Execute(const ChunkOp& op, Pending& p) {
   OpCompletion& out = p.completion;
   Result<Benefactor*> routed = Route(op.node);
   if (!routed.ok()) {
     out.status = routed.status();
-    return {};
+    return 0;
   }
   Benefactor* node = routed.value();
   switch (op.type) {
@@ -128,42 +123,20 @@ LocalTransport::Traffic LocalTransport::Execute(const ChunkOp& op,
       std::uint64_t total = 0;
       for (const ChunkPut& put : op.puts) total += put.data.size();
       out.status = node->PutChunkBatch(op.puts);
-      return {total, total};
+      return total;
     }
     case ChunkOpType::kGetChunkBatch:
       return Read(*node, op.ids, p);
     case ChunkOpType::kStashChunkMap:
       out.status = node->StashChunkMap(op.record, op.stripe_width);
-      return {};
-    case ChunkOpType::kCopyChunk: {
-      Result<BufferSlice> got = node->GetChunk(op.id);
-      if (!got.ok()) {
-        out.status = got.status();
-        return {};
-      }
-      std::uint64_t size = got.value().size();
-      // The destination routes only once the source read succeeded, so a
-      // failed read draws no loss sample for it.
-      Result<Benefactor*> dst = Route(op.target);
-      if (!dst.ok()) {
-        out.status = dst.status();
-        return {size, size};
-      }
-      // In-process replication shares the source node's buffer outright;
-      // the target admits it as a batch of one, like any other put.
-      ChunkPut put{op.id, std::move(got).value()};
-      out.status =
-          dst.value()->PutChunkBatch(std::span<const ChunkPut>(&put, 1));
-      return {size, 2 * size};
-    }
+      return 0;
   }
   out.status = InternalError("unknown chunk op type");
-  return {};
+  return 0;
 }
 
-LocalTransport::Traffic LocalTransport::Read(const Benefactor& node,
-                                             std::span<const ChunkId> ids,
-                                             Pending& p) {
+std::uint64_t LocalTransport::Read(const Benefactor& node,
+                                   std::span<const ChunkId> ids, Pending& p) {
   ReadCheck read;
   std::uint64_t bytes = 0;
   for (const ChunkId& id : ids) {
@@ -188,11 +161,10 @@ LocalTransport::Traffic LocalTransport::Read(const Benefactor& node,
   }
   // Like a PUT's, a GET's bytes hit the wire whether or not their check
   // passes. A failed lookup moves nothing.
-  Traffic traffic;
-  if (read.lookup.ok()) traffic = {bytes, bytes};
+  if (!read.lookup.ok()) bytes = 0;
   if (read.deferred.empty()) {
     read.Settle(p.completion);
-    return traffic;
+    return bytes;
   }
   // The unstamped payloads re-hash on the pool while the op is in flight.
   // Each task owns what it reads and writes only its own verdict slot, so
@@ -206,7 +178,7 @@ LocalTransport::Traffic LocalTransport::Read(const Benefactor& node,
             Benefactor::VerifyChunk(shared->ids[at], shared->payloads[at]);
       });
   p.read = std::move(shared);
-  return traffic;
+  return bytes;
 }
 
 OpCompletion LocalTransport::Deliver(Pending p) {
@@ -226,28 +198,16 @@ OpHandle LocalTransport::Submit(ChunkOp op) {
   // order. The call itself runs on this thread with mu_ released:
   // concurrent clients' ops overlap instead of queueing behind one
   // another's verify and fsync.
-  Traffic traffic = Execute(op, p);
+  std::uint64_t wire = Execute(op, p);
 
   MutexLock lock(mu_);
   OpHandle handle = next_handle_++;
   p.completion.handle = handle;
-  bytes_moved_ += traffic.moved;
-  // Execution is eager; delivery time follows the modeled links.
-  if (op.type == ChunkOpType::kCopyChunk) {
-    // A copy occupies the source link, then the destination link.
-    SimTime leg1 = std::max(now_, link_busy_until_[op.node]) +
-                   LinkLocked(op.node).OpDuration(traffic.wire);
-    link_busy_until_[op.node] = leg1;
-    SimTime leg2 = std::max(leg1, link_busy_until_[op.target]) +
-                   LinkLocked(op.target).OpDuration(traffic.wire);
-    link_busy_until_[op.target] = leg2;
-    p.ready_at = leg2;
-  } else {
-    SimTime done = std::max(now_, link_busy_until_[op.node]) +
-                   LinkLocked(op.node).OpDuration(traffic.wire);
-    link_busy_until_[op.node] = done;
-    p.ready_at = done;
-  }
+  bytes_moved_ += wire;
+  // Execution is eager; delivery time follows the node's modeled link.
+  p.ready_at = std::max(now_, link_busy_until_[op.node]) +
+               LinkLocked(op.node).OpDuration(wire);
+  link_busy_until_[op.node] = p.ready_at;
   pending_.emplace(handle, std::move(p));
   inflight_peak_ = std::max(inflight_peak_, pending_.size());
   return handle;

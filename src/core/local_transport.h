@@ -3,12 +3,12 @@
 // injection and modeled link timing.
 //
 // This is the functional stand-in for the desktop grid's LAN. Every
-// cross-node transfer is one op through it: client puts and gets, the
-// background pump's replication copies, and shard repair's reads and
-// rebuilt-shard write. So link cuts, loss draws and the traffic counters
-// see all of them. Execution is eager and in submission order: an op's
-// routing, benefactor side effect and GET lookups happen at Submit(), on
-// the submitting thread, which keeps runs deterministic. One piece runs
+// cross-node transfer is one op through it, addressed to one node: client
+// puts and gets, and the background pump's repair reads and rebuilt-copy
+// writes. So link cuts, loss draws and the traffic counters see all of
+// them. Execution is eager and in submission order: an op's routing,
+// benefactor side effect and GET lookups happen at Submit(), on the
+// submitting thread, which keeps runs deterministic. One piece runs
 // later: the content check of unstamped GET payloads (disk reads,
 // compacted memory chunks), a pure function of immutable bytes, is handed
 // to the shared HashPool at Submit and joined before the completion is
@@ -103,16 +103,8 @@ class LocalTransport final : public Transport {
     HashPool::Batch checking;
   };
 
-  // Wire bytes of one executed op: `wire` occupies the modeled link(s),
-  // `moved` is charged to bytes_moved() (a copy crosses the wire twice).
-  struct Traffic {
-    std::uint64_t wire = 0;
-    std::uint64_t moved = 0;
-  };
-
   // Counts the RPC and applies the link faults: unknown node, cut link,
   // then the loss-rate draw.
-  Result<Benefactor*> RouteLocked(NodeId node) REQUIRES(mu_);
   Result<Benefactor*> Route(NodeId node) EXCLUDES(mu_);
   const sim::LinkModel& LinkLocked(NodeId node) const REQUIRES(mu_);
   // Earliest-finishing pending op among `handles` (submission order breaks
@@ -122,16 +114,18 @@ class LocalTransport final : public Transport {
       std::span<const OpHandle> handles, bool only_ready) REQUIRES(mu_);
   // Routes `op`, executes it against the routed benefactor and fills
   // `p.completion`'s status and payload, unless a GET leaves its checks
-  // running in `p`. Only routing takes mu_; the benefactor, chunk-store
-  // and hash-pool locks the call reaches are taken without it.
-  Traffic Execute(const ChunkOp& op, Pending& p) EXCLUDES(mu_);
+  // running in `p`. Returns the op's wire bytes, which occupy its node's
+  // modeled link and count in bytes_moved(). Only routing takes mu_; the
+  // benefactor, chunk-store and hash-pool locks the call reaches are taken
+  // without it.
+  std::uint64_t Execute(const ChunkOp& op, Pending& p) EXCLUDES(mu_);
   // A GET's in-order half: looks `ids` up on `node`, stopping at the first
   // failed lookup or failed stamped-digest compare, and checks the
   // looked-up payloads. Stamped ones compare here; unstamped ones are
   // spawned on the shared HashPool. The GET is charged its looked-up bytes
   // unless a lookup failed. A GET with nothing spawned is settled here.
-  Traffic Read(const Benefactor& node, std::span<const ChunkId> ids,
-               Pending& p) EXCLUDES(mu_);
+  std::uint64_t Read(const Benefactor& node, std::span<const ChunkId> ids,
+                     Pending& p) EXCLUDES(mu_);
   // Joins a GET's pool checks and settles its completion: the first
   // failure in id order wins and a rejected GET carries no payload.
   OpCompletion Deliver(Pending p) EXCLUDES(mu_);

@@ -153,7 +153,7 @@ class FileCatalog {
   // Set of live chunks the manager believes `node` holds (GC exchange).
   std::set<ChunkId> LiveChunksOn(NodeId node) const;
 
-  // Records that `node` now holds a replica of `id` (replication ack).
+  // Records that `node` now holds a replica of `id` (repair ack).
   void AddReplica(const ChunkId& id, NodeId node);
   // GC-exchange reintegration: adds the replica iff the chunk is live,
   // reporting liveness, in one shard-lock acquisition.

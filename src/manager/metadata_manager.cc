@@ -369,33 +369,31 @@ std::vector<NodeId> MetadataManager::TickExpiry() {
   return expired;
 }
 
-std::vector<ReplicationCommand> MetadataManager::TickReplication() {
+std::vector<RepairCommand> MetadataManager::TickReplication() {
   MutexLock lock(mu_);
   if (!up_) return {};
   std::set<NodeId> online;
   for (NodeId node : registry_.OnlineNodes()) online.insert(node);
 
-  std::vector<ReplicationCommand> commands;
+  std::vector<RepairCommand> commands;
   for (const auto& ur : catalog_.FindUnderReplicated(online)) {
     if (static_cast<int>(commands.size()) >= options_.max_replications_per_tick) {
       break;
     }
     std::vector<NodeId> holders = catalog_.ChunkReplicas(ur.chunk);
-    // Source: any online holder.
-    NodeId source = kInvalidNode;
+    // Sources: the online holders, in ascending id order, so the read's
+    // first GET goes to the lowest-id one.
+    ChunkLocation chunk(ur.chunk, 0, catalog_.ChunkSize(ur.chunk), {});
     for (NodeId node : holders) {
-      if (online.contains(node)) {
-        source = node;
-        break;
-      }
+      if (online.contains(node)) chunk.replicas.push_back(node);
     }
-    if (source == kInvalidNode) continue;
+    if (chunk.replicas.empty()) continue;
 
     int missing = ur.want - ur.have;
     // Exclude existing holders and targets already in flight for this chunk.
     std::vector<NodeId> exclude = holders;
-    for (const auto& [chunk, target] : inflight_) {
-      if (chunk == ur.chunk) exclude.push_back(target);
+    for (const auto& [id, target] : inflight_) {
+      if (id == ur.chunk) exclude.push_back(target);
     }
     int already_inflight = static_cast<int>(
         std::count_if(inflight_.begin(), inflight_.end(),
@@ -408,7 +406,7 @@ std::vector<ReplicationCommand> MetadataManager::TickReplication() {
       NodeId target = stripe.value()[0];
       exclude.push_back(target);
       inflight_.insert({ur.chunk, target});
-      commands.push_back(ReplicationCommand{ur.chunk, source, target});
+      commands.push_back(RepairCommand{chunk, -1, target});
       if (static_cast<int>(commands.size()) >=
           options_.max_replications_per_tick) {
         break;
@@ -418,25 +416,13 @@ std::vector<ReplicationCommand> MetadataManager::TickReplication() {
   return commands;
 }
 
-Status MetadataManager::AckReplication(const ReplicationCommand& cmd,
-                                       bool success) {
-  MutexLock lock(mu_);
-  inflight_.erase({cmd.chunk, cmd.target});
-  if (!up_) return UnavailableError("metadata manager is down");
-  if (success) {
-    catalog_.AddReplica(cmd.chunk, cmd.target);
-    registry_.AddUsed(cmd.target, catalog_.ChunkSize(cmd.chunk));
-  }
-  return OkStatus();
-}
-
-std::vector<ShardRepairCommand> MetadataManager::TickShardRepair() {
+std::vector<RepairCommand> MetadataManager::TickShardRepair() {
   MutexLock lock(mu_);
   if (!up_) return {};
   std::set<NodeId> online;
   for (NodeId node : registry_.OnlineNodes()) online.insert(node);
 
-  std::vector<ShardRepairCommand> commands;
+  std::vector<RepairCommand> commands;
   for (const ChunkLocation& group : catalog_.FindDamagedGroups(online)) {
     if (static_cast<int>(commands.size()) >=
         options_.max_replications_per_tick) {
@@ -462,25 +448,28 @@ std::vector<ShardRepairCommand> MetadataManager::TickShardRepair() {
       NodeId target = stripe.value()[0];
       exclude.push_back(target);
       inflight_repairs_.insert(group.shards[s].id);
-      commands.push_back(
-          ShardRepairCommand{group, static_cast<int>(s), target});
+      commands.push_back(RepairCommand{group, static_cast<int>(s), target});
     }
   }
   return commands;
 }
 
-Status MetadataManager::AckShardRepair(const ShardRepairCommand& cmd,
-                                       bool success) {
+Status MetadataManager::AckRepair(const RepairCommand& cmd, bool success) {
   MutexLock lock(mu_);
-  const ChunkLocation& group = cmd.group;
-  const ChunkId& rebuilt =
-      group.shards[static_cast<std::size_t>(cmd.missing_index)].id;
-  inflight_repairs_.erase(rebuilt);
+  const ChunkLocation& chunk = cmd.chunk;
+  ChunkId copy = chunk.id;
+  std::uint64_t bytes = chunk.size;
+  if (cmd.missing_index < 0) {
+    inflight_.erase({copy, cmd.target});
+  } else {
+    copy = chunk.shards[static_cast<std::size_t>(cmd.missing_index)].id;
+    bytes = ErasureShardLength(chunk.size, chunk.ec_k, cmd.missing_index);
+    inflight_repairs_.erase(copy);
+  }
   if (!up_) return UnavailableError("metadata manager is down");
   if (success) {
-    catalog_.AddReplica(rebuilt, cmd.target);
-    registry_.AddUsed(cmd.target, ErasureShardLength(group.size, group.ec_k,
-                                                     cmd.missing_index));
+    catalog_.AddReplica(copy, cmd.target);
+    registry_.AddUsed(cmd.target, bytes);
   }
   return OkStatus();
 }

@@ -33,9 +33,10 @@ struct ManagerOptions {
   // Eager reservations unused for longer are garbage collected (§IV.A:
   // "if this space is not used, it is asynchronously garbage collected").
   ClockTime reservation_ttl_us = 60'000'000;  // 60 s
-  // Replication commands issued per TickReplication() call. Bounding this
-  // implements "creation of new files has priority over replication": the
-  // scheduler trickles copies instead of flooding benefactors.
+  // Repair commands issued per TickReplication() call, and again per
+  // TickShardRepair() call. Bounding this implements "creation of new files
+  // has priority over replication": the schedulers trickle copies instead
+  // of flooding benefactors.
   int max_replications_per_tick = 8;
   // Number of independently locked FileCatalog shards. 1 keeps the
   // historical single-map catalog, bit for bit; N spreads folder and chunk
@@ -131,31 +132,37 @@ class MetadataManager {
   // Returns the ids of newly expired nodes.
   std::vector<NodeId> TickExpiry();
 
-  // Emits replication commands (shadow-map copies) for under-replicated
-  // chunks. The caller (transport layer) executes them and must call
-  // AckReplication with the outcome.
-  std::vector<ReplicationCommand> TickReplication();
-  Status AckReplication(const ReplicationCommand& cmd, bool success);
+  // Background repair. Each scheduler emits RepairCommands for one kind of
+  // lost copy, a chunk's commands back to back, within its own budget of
+  // max_replications_per_tick (file creation keeps priority over repair).
+  // The caller (StdchkCluster::Tick) reads each chunk once through the read
+  // engine, PUTs every copy to its target, and must call AckRepair with
+  // each command's outcome.
+  //
+  // TickReplication: a replica command (missing_index -1) per missing
+  // replica of an under-replicated chunk, naming its online holders to
+  // read from and a target outside them.
+  std::vector<RepairCommand> TickReplication();
   // Reads the in-flight set under mu_ — the -Wthread-safety sweep caught
-  // the previous lock-free read racing TickReplication/AckReplication.
+  // the previous lock-free read racing TickReplication and the acks.
   std::size_t pending_replications() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return inflight_.size();
   }
 
-  // Emits shard-repair commands for erasure-coded groups that are degraded
-  // but still hold >= k live shards — the EC analogue of TickReplication:
-  // repair restores the m-loss margin instead of a replica count. Shares
-  // max_replications_per_tick (file creation keeps priority over repair).
-  // Each command names the group, the shard to rebuild and a target
-  // outside the group's holders; the caller reads any k shards, rebuilds,
-  // verifies and stores, and must call AckShardRepair with the outcome.
-  std::vector<ShardRepairCommand> TickShardRepair();
-  Status AckShardRepair(const ShardRepairCommand& cmd, bool success);
+  // TickShardRepair: a shard command per lost shard of an erasure-coded
+  // group that is degraded but still holds >= k live shards (repair
+  // restores the m-loss margin instead of a replica count). The target is
+  // outside the group's holders; the executor decodes from whichever k
+  // shards answer.
+  std::vector<RepairCommand> TickShardRepair();
   std::size_t pending_shard_repairs() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return inflight_repairs_.size();
   }
+  // Retires a command from its in-flight set and, on success, records the
+  // target as a holder of the copy and charges it the copy's bytes.
+  Status AckRepair(const RepairCommand& cmd, bool success);
 
   // Applies retention policies; returns purged version names.
   std::vector<CheckpointName> TickRetention();

@@ -85,28 +85,21 @@ struct WriteReservation {
   std::uint64_t reserved_bytes = 0;  // per the eager-reservation request
 };
 
-// A single background-replication command: copy `chunk` from `source` to
-// `target`. Issued by the manager's replication scheduler; executed by the
-// transport layer; acked back to the manager.
-struct ReplicationCommand {
-  ChunkId chunk;
-  NodeId source = kInvalidNode;
-  NodeId target = kInvalidNode;
-};
-
-// A single shard-repair command for an erasure-coded group that dropped
-// below full width but still has >= k live shards: rebuild shard
-// `missing_index` and store it on `target`. Issued by the manager's
-// shard-repair scheduler (the EC analogue of replication: repair restores
-// the m-loss margin instead of a replica count), which decides only what
-// to rebuild and where; the executor reads the group like any client and
-// decodes from whichever k shards answer. Acked back to the manager.
-struct ShardRepairCommand {
-  // The group as one erasure-coded chunk: one online holder per shard
-  // position, kInvalidNode where none is left.
-  ChunkLocation group;
-  int missing_index = -1;        // shard position to rebuild (data first)
-  NodeId target = kInvalidNode;  // receives the rebuilt shard
+// One background repair command: restore one lost copy of `chunk` on
+// `target`. The manager's schedulers decide only what to rebuild and where;
+// the executor reads the chunk through the read engine like any client and
+// PUTs the copy, then acks the outcome back to the manager.
+// - A replica (missing_index -1): `chunk` lists its online holders in
+//   ascending id order, and the copy is the chunk itself
+//   (MetadataManager::TickReplication restores the replication target).
+// - A shard (missing_index >= 0): `chunk` is the erasure-coded group, one
+//   online holder per shard position and kInvalidNode where none is left,
+//   and the copy is the decoded shard at `missing_index` (data first)
+//   (MetadataManager::TickShardRepair restores the m-loss margin).
+struct RepairCommand {
+  ChunkLocation chunk;
+  int missing_index = -1;
+  NodeId target = kInvalidNode;  // receives the copy
 };
 
 }  // namespace stdchk

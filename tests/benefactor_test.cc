@@ -48,8 +48,9 @@ TEST_F(BenefactorTest, GetVerifiesIntegrity) {
   Bytes data = ToBytes("some bytes");
   ChunkId id = ChunkId::For(data);
   ASSERT_TRUE(PutOne(benefactor_, id, data).ok());
-  auto got = benefactor_.GetChunk(id);
+  auto got = benefactor_.ReadChunk(id);
   ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(Benefactor::VerifyChunk(id, got.value()).ok());
   EXPECT_EQ(got.value(), data);
 }
 
@@ -81,12 +82,15 @@ TEST_F(BenefactorTest, CrashRejectsOperationsButKeepsData) {
   benefactor_.Crash();
   EXPECT_FALSE(benefactor_.online());
   EXPECT_EQ(PutOne(benefactor_, id, data).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(benefactor_.GetChunk(id).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(benefactor_.ReadChunk(id).status().code(),
+            StatusCode::kUnavailable);
   EXPECT_FALSE(benefactor_.HasChunk(id));  // unavailable while down
 
   benefactor_.Restart();
   EXPECT_TRUE(benefactor_.HasChunk(id));
-  EXPECT_TRUE(benefactor_.GetChunk(id).ok());
+  auto got = benefactor_.ReadChunk(id);
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(Benefactor::VerifyChunk(id, got.value()).ok());
 }
 
 TEST_F(BenefactorTest, WipeDestroysData) {
@@ -199,8 +203,10 @@ TEST(BenefactorVerifyFanOutTest, UnstampedBatchAdmittedOnIdleAndBusyPool) {
     ASSERT_TRUE(status.ok()) << status;
     ASSERT_EQ(node.ChunkCount(), payloads.size());
     for (const Bytes& data : payloads) {
-      auto got = node.GetChunk(ChunkId::For(data));
+      const ChunkId id = ChunkId::For(data);
+      auto got = node.ReadChunk(id);
       ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(Benefactor::VerifyChunk(id, got.value()).ok());
       EXPECT_EQ(got.value(), data);
     }
   });

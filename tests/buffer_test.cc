@@ -166,8 +166,9 @@ TEST(StampedVerificationTest, BenefactorStillRejectsUnstampedMismatch) {
 
   // Read-back of the memory store's stamped slice verifies by compare and
   // returns the original bytes.
-  auto got = node.GetChunk(good_id);
+  auto got = node.ReadChunk(good_id);
   ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(Benefactor::VerifyChunk(good_id, got.value()).ok());
   EXPECT_TRUE(got.value() == ByteSpan(good));
   ASSERT_NE(got.value().stamped_digest(), nullptr);
 }
@@ -234,8 +235,9 @@ TEST(StoreBufferLifetimeTest, BenefactorGetSurvivesWipe) {
   ChunkId id = ChunkId::For(data);
   ASSERT_TRUE(PutOne(node, id, BufferSlice::Copy(data)).ok());
 
-  auto got = node.GetChunk(id);
+  auto got = node.ReadChunk(id);
   ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(Benefactor::VerifyChunk(id, got.value()).ok());
   BufferSlice held = got.value();
   node.Wipe();  // donor disk scavenged under the reader
   EXPECT_TRUE(held == ByteSpan(data));

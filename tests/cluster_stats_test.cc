@@ -76,7 +76,7 @@ TEST(ClusterStatsTest, PendingReplicationsVisibleMidRepair) {
   ASSERT_FALSE(cmds.empty());
   EXPECT_EQ(CollectStats(cluster).pending_replications, cmds.size());
   for (const auto& cmd : cmds) {
-    (void)cluster.manager().AckReplication(cmd, false);
+    (void)cluster.manager().AckRepair(cmd, false);
   }
 }
 

@@ -619,7 +619,10 @@ TEST_F(DiskSegmentRecoveryTest, TamperedCompactedBytesFailVerification) {
   auto raw = store->Get(survivor);
   ASSERT_TRUE(raw.ok());
   EXPECT_EQ(raw.value().stamped_digest(), nullptr);
-  ASSERT_TRUE(donor.GetChunk(survivor).ok());  // intact bytes verify fine
+  auto intact = donor.ReadChunk(survivor);
+  ASSERT_TRUE(intact.ok());
+  // Intact bytes verify fine.
+  ASSERT_TRUE(Benefactor::VerifyChunk(survivor, intact.value()).ok());
 
   // Flip one payload byte in the compacted segment. The reopened store
   // maps the tampered file fresh — and the benefactor's read must catch it.
@@ -636,9 +639,11 @@ TEST_F(DiskSegmentRecoveryTest, TamperedCompactedBytesFailVerification) {
   Benefactor tampered("tamper-host", std::move(reopened).value(), 1_GiB);
   FlipBit(segments.back(), flip_at);
   ASSERT_TRUE(tampered_store->Contains(survivor));
-  auto read = tampered.GetChunk(survivor);
-  ASSERT_FALSE(read.ok());
-  EXPECT_EQ(read.status().code(), StatusCode::kDataLoss);
+  auto read = tampered.ReadChunk(survivor);
+  ASSERT_TRUE(read.ok()) << read.status();
+  Status verified = Benefactor::VerifyChunk(survivor, read.value());
+  ASSERT_FALSE(verified.ok());
+  EXPECT_EQ(verified.code(), StatusCode::kDataLoss);
 }
 
 TEST_F(DiskSegmentRecoveryTest, WipeUnlinksEverythingButHeldSlicesLive) {

