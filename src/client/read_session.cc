@@ -41,11 +41,23 @@ ReadSession::~ReadSession() {
   // Drop replies for anything still in flight so the transport does not
   // accumulate undeliverable completions. Locked for the rank validator's
   // benefit (session rank sits below the transport's); Clang's analysis
-  // skips destructors.
+  // skips destructors. A whole-chunk check still on the pool is joined as
+  // its cache entry is destroyed, as the transport joins a cancelled GET's
+  // checks: no pool task outlives the session.
   MutexLock lock(mu_);
   for (const auto& [handle, fetch] : inflight_) {
     (void)transport_->Cancel(handle);
   }
+}
+
+ReadSession::ChunkCheck::~ChunkCheck() {
+  (void)HashPool::Shared().Join(std::move(batch));
+}
+
+std::uint64_t ReadSession::Cached::size() const {
+  std::uint64_t bytes = 0;
+  for (const BufferSlice& part : parts()) bytes += part.size();
+  return bytes;
 }
 
 std::size_t ReadSession::WindowEnd(std::size_t demand) const {
@@ -125,11 +137,9 @@ Status ReadSession::PumpWindow(std::size_t demand) {
       ++flying;
       continue;
     }
-    // Erasure-coded chunks bypass the replica window: ChunkData fetches
-    // their shards on demand (already overlapped across k benefactors).
-    // Exception: chunks ChunkData demoted to the replica path after a
-    // failed shard recovery (mixed-mode fallback).
-    if (chunks[i].erasure_coded() && !replica_fallback_.contains(i)) continue;
+    // An erasure-coded chunk whose shards already failed this call is not
+    // read ahead again; ChunkData reports it when the reader gets there.
+    if (unreadable_.contains(i)) continue;
     unrequested.push_back(i);
     unrequested_bytes += chunks[i].size;
   }
@@ -145,49 +155,63 @@ Status ReadSession::PumpWindow(std::size_t demand) {
   // At most one window's worth of chunks in flight, counting any left over
   // from an earlier window (random access).
   const std::size_t max_inflight = window_end - demand + 1;
-  std::map<NodeId, std::vector<std::size_t>> queues;
+  Queues queues;
   for (std::size_t i : unrequested) {
     if (inflight_chunks_.size() >= max_inflight) break;
+    // Erasure-coded chunks travel as their data shards, except those
+    // ChunkData demoted to the replica path after their shards failed
+    // (mixed-mode fallback).
+    if (chunks[i].erasure_coded() && !replica_fallback_.contains(i)) {
+      inflight_chunks_.insert(i);
+      StartGather(i, queues);
+      continue;
+    }
     Result<NodeId> pick = PickReplica(i);
     if (!pick.ok()) {
       // Read-ahead misses stay soft; only the demand chunk is fatal.
       if (i == demand) return pick.status();
       continue;
     }
-    queues[pick.value()].push_back(i);
+    queues[pick.value()].push_back(Piece{i});
     inflight_chunks_.insert(i);
   }
 
-  // One GET carries `indices`' chunks from `node`.
-  auto submit = [&](NodeId node, std::vector<std::size_t> indices) {
-    std::vector<ChunkId> ids;
-    ids.reserve(indices.size());
-    for (std::size_t i : indices) ids.push_back(chunks[i].id);
-    if (indices.size() == 1) {
-      ++stats_.single_gets;
-    } else {
-      ++stats_.batch_gets;
-    }
-    OpHandle h = transport_->Submit(ChunkOp::GetBatch(node, std::move(ids)));
-    inflight_.emplace(h, Fetch{std::move(indices), node});
-  };
-  for (auto& [node, indices] : queues) {
+  for (auto& [node, pieces] : queues) {
     // Chunks flagged for solo retry (after a batch rejection) go out alone
     // so failures are attributed precisely; the rest of a node's window
     // share one GET.
-    std::vector<std::size_t> batchable;
-    for (std::size_t i : indices) {
-      if (singles_only_.contains(i)) {
-        submit(node, {i});
+    std::vector<Piece> batchable;
+    for (const Piece& p : pieces) {
+      if (p.shard == Piece::kWhole && singles_only_.contains(p.index)) {
+        Submit(node, {p});
       } else {
-        batchable.push_back(i);
+        batchable.push_back(p);
       }
     }
-    if (!batchable.empty()) submit(node, std::move(batchable));
+    if (!batchable.empty()) Submit(node, std::move(batchable));
   }
   stats_.inflight_peak = std::max(stats_.inflight_peak,
                                   inflight_chunks_.size());
   return OkStatus();
+}
+
+void ReadSession::Submit(NodeId node, std::vector<Piece> pieces) {
+  const auto& chunks = record_.chunk_map.chunks;
+  std::vector<ChunkId> ids;
+  ids.reserve(pieces.size());
+  for (const Piece& p : pieces) {
+    const ChunkLocation& loc = chunks[p.index];
+    ids.push_back(p.shard == Piece::kWhole
+                      ? loc.id
+                      : loc.shards[static_cast<std::size_t>(p.shard)].id);
+  }
+  if (pieces.size() == 1) {
+    ++stats_.single_gets;
+  } else {
+    ++stats_.batch_gets;
+  }
+  OpHandle h = transport_->Submit(ChunkOp::GetBatch(node, std::move(ids)));
+  inflight_.emplace(h, Fetch{std::move(pieces), node});
 }
 
 Status ReadSession::HarvestOne(std::size_t demand) {
@@ -198,68 +222,90 @@ Status ReadSession::HarvestOne(std::size_t demand) {
   auto it = inflight_.find(c.handle);
   Fetch fetch = std::move(it->second);
   inflight_.erase(it);
-  for (std::size_t i : fetch.indices) inflight_chunks_.erase(i);
+  // A whole chunk leaves the in-flight set with its GET; a shard's chunk
+  // stays in it until its gather ends.
+  for (const Piece& p : fetch.pieces) {
+    if (p.shard == Piece::kWhole) inflight_chunks_.erase(p.index);
+  }
+  // Parity shards asked for to cover this completion's losses, one GET per
+  // node.
+  Queues cover;
 
   if (c.status.ok()) {
     // The node answered: rehabilitate it if a drop had marked it dead, and
     // let its chunks batch again — both marks describe transient states.
     dead_nodes_.erase(fetch.node);
-    if (fetch.indices.size() == 1) singles_only_.erase(fetch.indices[0]);
-    for (std::size_t j = 0; j < fetch.indices.size(); ++j) {
-      Insert(fetch.indices[j], std::move(c.batch[j]));
+    if (fetch.pieces.size() == 1 && fetch.pieces[0].shard == Piece::kWhole) {
+      singles_only_.erase(fetch.pieces[0].index);
     }
-    stats_.chunks_fetched += fetch.indices.size();
-    EvictToBudget(demand);
-    return OkStatus();
-  }
-
-  stats_.failovers += fetch.indices.size();
-  for (std::size_t i : fetch.indices) ++fetch_attempts_[i];
-  if (c.status.code() == StatusCode::kUnavailable) {
-    // Node-level failure: remember the node so later picks skip it, and
-    // walk every affected chunk on to its next replica.
-    dead_nodes_.insert(fetch.node);
-    for (std::size_t i : fetch.indices) failed_replicas_[i].insert(fetch.node);
-  } else if (fetch.indices.size() > 1) {
-    // A batch rejected wholesale for a chunk-level reason (one chunk
-    // missing or corrupt) says nothing about the other chunks on this
-    // node: retry each alone so the bad chunk is pinpointed.
-    for (std::size_t i : fetch.indices) singles_only_.insert(i);
+    for (std::size_t j = 0; j < fetch.pieces.size(); ++j) {
+      const Piece& p = fetch.pieces[j];
+      if (p.shard == Piece::kWhole) {
+        Insert(Cached{p.index, std::move(c.batch[j]), {}, nullptr});
+        ++stats_.chunks_fetched;
+      } else {
+        ++stats_.shard_fetches;
+        ShardDone(p.index, p.shard, std::move(c.batch[j]), cover);
+      }
+    }
   } else {
-    failed_replicas_[fetch.indices[0]].insert(fetch.node);
+    stats_.failovers += fetch.pieces.size();
+    const bool node_down = c.status.code() == StatusCode::kUnavailable;
+    // Node-level failure: remember the node so later picks skip it.
+    if (node_down) dead_nodes_.insert(fetch.node);
+    for (const Piece& p : fetch.pieces) {
+      if (p.shard != Piece::kWhole) {
+        if (!node_down && fetch.pieces.size() > 1) {
+          // Rejected with its batch for a chunk-level reason, which says
+          // nothing about this shard: it goes out again alone, and costs
+          // parity only if it fails alone.
+          Submit(fetch.node, {p});
+        } else {
+          ShardDone(p.index, p.shard, std::nullopt, cover);
+        }
+        continue;
+      }
+      ++fetch_attempts_[p.index];
+      if (node_down) {
+        // Walk the chunk on to its next replica.
+        failed_replicas_[p.index].insert(fetch.node);
+      } else if (fetch.pieces.size() > 1) {
+        // A batch rejected wholesale for a chunk-level reason (one chunk
+        // missing or corrupt) says nothing about the other chunks on this
+        // node: retry each alone so the bad chunk is pinpointed.
+        singles_only_.insert(p.index);
+      } else {
+        failed_replicas_[p.index].insert(fetch.node);
+      }
+    }
   }
+  for (auto& [node, pieces] : cover) Submit(node, std::move(pieces));
+  if (c.status.ok()) EvictToBudget(demand);
   return OkStatus();
 }
 
-Result<const BufferSlice*> ReadSession::ChunkData(std::size_t index) {
-  const ChunkLocation& loc = record_.chunk_map.chunks[index];
-  if (loc.erasure_coded()) {
-    if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
-    }
-    Result<BufferSlice> data = FetchErasure(index);
-    if (!data.ok()) {
-      // Mixed-mode escape hatch: a chunk can carry whole replicas besides
-      // its shard group (dedup reuse of a replication-era copy). Only then
-      // is a full-replica fallback even possible — and the EC acceptance
-      // bar is that it never fires for pure erasure files.
-      if (loc.replicas.empty()) return data.status();
-      ++stats_.full_replica_fallbacks;
-      replica_fallback_.insert(index);
-    } else {
-      Insert(index, std::move(data.value()));
-      EvictToBudget(index);
-      return &cache_index_.find(index)->second->data;
-    }
-  }
+Result<const ReadSession::Cached*> ReadSession::ChunkData(std::size_t index) {
   while (true) {
     if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
+      Cached& entry = *it->second;
+      if (entry.check == nullptr) return &entry;
+      (void)HashPool::Shared().Join(std::move(entry.check->batch));
+      Status checked = std::move(entry.check->verdict);
+      entry.check = nullptr;
+      if (checked.ok()) return &entry;
+      // The gathered chunk failed its whole-chunk check: none of its bytes
+      // reach the caller.
+      cache_bytes_ -= entry.size();
+      cache_.erase(it->second);
+      cache_index_.erase(it);
+      ShardsFailed(index, std::move(checked));
+      continue;
+    }
+    if (auto it = unreadable_.find(index); it != unreadable_.end()) {
+      return it->second;
     }
     STDCHK_RETURN_IF_ERROR(PumpWindow(index));
-    if (auto it = cache_index_.find(index); it != cache_index_.end()) {
-      return &it->second->data;
-    }
+    if (cache_index_.contains(index) || unreadable_.contains(index)) continue;
     if (inflight_.empty()) {
       return InternalError("read engine stalled with no fetch in flight");
     }
@@ -267,133 +313,160 @@ Result<const BufferSlice*> ReadSession::ChunkData(std::size_t index) {
   }
 }
 
-Result<BufferSlice> ReadSession::FetchErasure(std::size_t index) {
+void ReadSession::StartGather(std::size_t index, Queues& queues) {
   const ChunkLocation& loc = record_.chunk_map.chunks[index];
   const int k = loc.ec_k;
-  const int m = loc.ec_m;
-  const int total = k + m;
-  if (static_cast<int>(loc.shards.size()) != total) {
-    return DataLossError("chunk " + loc.id.ToHex() +
-                         " has a malformed shard group");
+  if (loc.shards.size() != static_cast<std::size_t>(k + loc.ec_m)) {
+    inflight_chunks_.erase(index);
+    ShardsFailed(index, DataLossError("chunk " + loc.id.ToHex() +
+                                      " has a malformed shard group"));
+    return;
   }
-  const std::size_t shard_size = ErasureShardSize(loc.size, k);
-
-  std::vector<std::optional<BufferSlice>> got(
-      static_cast<std::size_t>(total));
-  int have = 0;
-  // Zero-length tail data shards (chunk smaller than (k-1) shard widths)
-  // are virtually present: nothing stored, nothing to fetch.
+  Gather& g = gathers_[index];
+  g.shards.assign(loc.shards.size(), std::nullopt);
+  g.next_parity = k;
   for (int s = 0; s < k; ++s) {
+    // Zero-length tail data shards (chunk smaller than (k-1) shard widths)
+    // are virtually present: nothing stored, nothing to fetch.
     if (ErasureShardLength(loc.size, k, s) == 0) {
-      got[static_cast<std::size_t>(s)] = BufferSlice();
-      ++have;
+      g.shards[static_cast<std::size_t>(s)] = BufferSlice();
+      ++g.have;
+    } else if (!RequestShard(index, s, queues)) {
+      CoverLoss(index, queues);
     }
   }
+  SettleGather(index);
+}
 
-  // One GET per shard — group members sit on distinct benefactors by
-  // construction, so the k data fetches overlap across k nodes. Parity
-  // shards are requested only to cover failures, one per loss.
-  std::map<OpHandle, int> pending;
-  auto submit = [&](int s) -> bool {
-    const ShardLocation& sl = loc.shards[static_cast<std::size_t>(s)];
-    if (sl.node == kInvalidNode) return false;  // departed, awaiting repair
-    OpHandle h = transport_->Submit(ChunkOp::GetBatch(sl.node, {sl.id}));
-    pending.emplace(h, s);
-    ++stats_.single_gets;
-    return true;
-  };
-  int next_extra = k;
-  for (int s = 0; s < k; ++s) {
-    if (got[static_cast<std::size_t>(s)].has_value()) continue;
-    if (!submit(s)) {
-      while (next_extra < total && !submit(next_extra)) ++next_extra;
-      if (next_extra < total) ++next_extra;
-    }
+bool ReadSession::RequestShard(std::size_t index, int shard, Queues& queues) {
+  const ShardLocation& sl =
+      record_.chunk_map.chunks[index].shards[static_cast<std::size_t>(shard)];
+  if (sl.node == kInvalidNode) return false;  // departed, awaiting repair
+  queues[sl.node].push_back(Piece{index, shard});
+  ++gathers_.at(index).outstanding;
+  return true;
+}
+
+void ReadSession::CoverLoss(std::size_t index, Queues& queues) {
+  Gather& g = gathers_.at(index);
+  const int total = static_cast<int>(g.shards.size());
+  while (g.next_parity < total) {
+    if (RequestShard(index, g.next_parity++, queues)) return;
+  }
+}
+
+void ReadSession::ShardDone(std::size_t index, int shard,
+                            std::optional<BufferSlice> data, Queues& queues) {
+  Gather& g = gathers_.at(index);
+  --g.outstanding;
+  const ChunkLocation& loc = record_.chunk_map.chunks[index];
+  // A shard whose length is not its stored length in the group passed its
+  // content check against an id that names other bytes: it is as lost as
+  // an unreachable one.
+  if (data.has_value() &&
+      data->size() == ErasureShardLength(loc.size, loc.ec_k, shard)) {
+    g.shards[static_cast<std::size_t>(shard)] = std::move(data);
+    ++g.have;
+    if (shard >= loc.ec_k) ++stats_.parity_shard_fetches;
+  } else {
+    CoverLoss(index, queues);
+  }
+  SettleGather(index);
+}
+
+void ReadSession::SettleGather(std::size_t index) {
+  Gather& g = gathers_.at(index);
+  const ChunkLocation& loc = record_.chunk_map.chunks[index];
+  const int k = loc.ec_k;
+  if (g.have < k && g.outstanding > 0) return;
+  Gather done = std::move(g);
+  gathers_.erase(index);
+  inflight_chunks_.erase(index);
+  if (done.have < k) {
+    ShardsFailed(index, DataLossError(
+                            "only " + std::to_string(done.have) +
+                            " of the required " + std::to_string(k) +
+                            " shards of chunk " + loc.id.ToHex() +
+                            " are reachable"));
+    return;
   }
 
-  while (have < k && !pending.empty()) {
-    std::vector<OpHandle> handles;
-    handles.reserve(pending.size());
-    for (const auto& [h, s] : pending) handles.push_back(h);
-    STDCHK_ASSIGN_OR_RETURN(OpCompletion c, transport_->WaitAny(handles));
-    int s = pending.at(c.handle);
-    pending.erase(c.handle);
-    const NodeId node = loc.shards[static_cast<std::size_t>(s)].node;
-    if (c.status.ok()) {
-      dead_nodes_.erase(node);
-      got[static_cast<std::size_t>(s)] = std::move(c.batch.front());
-      ++have;
-      ++stats_.shard_fetches;
-      if (s >= k) ++stats_.parity_shard_fetches;
-      continue;
-    }
-    ++stats_.failovers;
-    if (c.status.code() == StatusCode::kUnavailable) dead_nodes_.insert(node);
-    // Walk on to the next untried shard to cover this loss.
-    while (next_extra < total && !submit(next_extra)) ++next_extra;
-    if (next_extra < total) ++next_extra;
-  }
-  if (have < k) {
-    return DataLossError("only " + std::to_string(have) + " of the required " +
-                         std::to_string(k) + " shards of chunk " +
-                         loc.id.ToHex() + " are reachable");
-  }
-
-  // Reassemble: direct data shards copy into place, missing ones decode
-  // straight into their region of the chunk buffer (prefix recovery — no
-  // scratch shard buffers).
-  Bytes assembled(loc.size, 0);
+  // Decode each lost data shard into a buffer of its own, straight from
+  // the k shards in hand (prefix recovery: just its stored length).
   std::vector<int> want;
-  std::vector<MutableByteSpan> outs;
+  std::vector<Bytes> decoded;
   for (int s = 0; s < k; ++s) {
-    std::size_t len = ErasureShardLength(loc.size, k, s);
-    if (len == 0) continue;
-    MutableByteSpan region(
-        assembled.data() + static_cast<std::size_t>(s) * shard_size, len);
-    const auto& shard = got[static_cast<std::size_t>(s)];
-    if (shard.has_value()) {
-      if (shard->size() != len) {
-        return DataLossError("shard " + std::to_string(s) + " of chunk " +
-                             loc.id.ToHex() + " has the wrong stored size");
-      }
-      std::memcpy(region.data(), shard->data(), len);
-    } else {
-      want.push_back(s);
-      outs.push_back(region);
-    }
+    if (done.shards[static_cast<std::size_t>(s)].has_value()) continue;
+    want.push_back(s);
+    decoded.emplace_back(ErasureShardLength(loc.size, k, s));
   }
-  // Reassembly is the one real copy of the EC read path (k scattered shard
-  // buffers into one contiguous chunk); account it honestly.
-  copy_stats::RecordCopy(loc.size);
   if (!want.empty()) {
-    STDCHK_ASSIGN_OR_RETURN(ReedSolomon rs, ReedSolomon::Create(k, m));
-    std::vector<std::optional<ByteSpan>> views(static_cast<std::size_t>(total));
-    for (int s = 0; s < total; ++s) {
-      const auto& shard = got[static_cast<std::size_t>(s)];
-      if (shard.has_value()) views[static_cast<std::size_t>(s)] = shard->span();
+    std::vector<std::optional<ByteSpan>> views(done.shards.size());
+    for (std::size_t s = 0; s < done.shards.size(); ++s) {
+      if (done.shards[s].has_value()) views[s] = done.shards[s]->span();
     }
-    STDCHK_RETURN_IF_ERROR(rs.RecoverShards(views, shard_size, want, outs));
+    std::vector<MutableByteSpan> outs(decoded.begin(), decoded.end());
+    Result<ReedSolomon> rs = ReedSolomon::Create(k, loc.ec_m);
+    Status recovered =
+        rs.ok() ? rs.value().RecoverShards(
+                      views, ErasureShardSize(loc.size, k), want, outs)
+                : rs.status();
+    if (!recovered.ok()) {
+      ShardsFailed(index, std::move(recovered));
+      return;
+    }
+    for (std::size_t w = 0; w < want.size(); ++w) {
+      done.shards[static_cast<std::size_t>(want[w])] =
+          BufferSlice(BufferRef::Take(std::move(decoded[w])));
+    }
     ++stats_.reconstructions;
   }
 
-  // Content-based addressability doubles as the integrity check: the
-  // reassembled (possibly reconstructed) chunk must hash to its address.
-  BufferSlice out(BufferRef::Take(std::move(assembled)));
-  ChunkId actual = ChunkId::For(out.span());
-  if (actual != loc.id) {
-    return DataLossError("chunk " + loc.id.ToHex() +
-                         " failed integrity verification after reassembly");
+  Cached entry{index, {}, {}, std::make_unique<ChunkCheck>()};
+  entry.shards.reserve(static_cast<std::size_t>(k));
+  for (int s = 0; s < k; ++s) {
+    entry.shards.push_back(std::move(*done.shards[static_cast<std::size_t>(s)]));
   }
-  out.StampDigest(actual.digest);
-  return out;
+  // Content-based addressability doubles as the integrity check: the data
+  // shards, direct or decoded, must hash to the chunk's address. The check
+  // owns what it reads and writes only its verdict, so it takes no lock.
+  entry.check->batch = HashPool::Shared().Spawn(
+      1, 1,
+      [shards = entry.shards, id = loc.id,
+       check = entry.check.get()](std::size_t) {
+        Sha1Hasher hasher;
+        for (const BufferSlice& shard : shards) {
+          // An empty tail shard has no bytes, and no buffer to point at.
+          if (!shard.empty()) hasher.Update(shard.span());
+        }
+        if (ChunkId{hasher.Finish()} != id) {
+          check->verdict = DataLossError("chunk " + id.ToHex() +
+                                         " failed its whole-chunk check");
+        }
+      });
+  Insert(std::move(entry));
 }
 
-void ReadSession::Insert(std::size_t index, BufferSlice data) {
-  if (cache_index_.contains(index)) return;
-  cache_bytes_ += data.size();
+void ReadSession::ShardsFailed(std::size_t index, Status why) {
+  // Mixed-mode escape hatch: a chunk can carry whole replicas besides its
+  // shard group (dedup reuse of a replication-era copy). Only then is a
+  // full-replica fallback even possible — and the EC acceptance bar is
+  // that it never fires for pure erasure files.
+  if (!record_.chunk_map.chunks[index].replicas.empty()) {
+    ++stats_.full_replica_fallbacks;
+    replica_fallback_.insert(index);
+    return;
+  }
+  unreadable_.emplace(index, std::move(why));
+}
+
+void ReadSession::Insert(Cached entry) {
+  if (cache_index_.contains(entry.index)) return;
+  cache_bytes_ += entry.size();
   stats_.cache_bytes_peak = std::max<std::uint64_t>(stats_.cache_bytes_peak,
                                                     cache_bytes_);
-  cache_.push_back(Cached{index, std::move(data)});
+  const std::size_t index = entry.index;
+  cache_.push_back(std::move(entry));
   cache_index_[index] = std::prev(cache_.end());
 }
 
@@ -409,7 +482,7 @@ void ReadSession::EvictToBudget(std::size_t demand) {
       ++it;
       continue;
     }
-    cache_bytes_ -= it->data.size();
+    cache_bytes_ -= it->size();
     cache_index_.erase(it->index);
     it = cache_.erase(it);
     ++stats_.cache_evictions;
@@ -420,8 +493,10 @@ Status ReadSession::Walk(std::uint64_t offset, std::uint64_t length,
                          const std::function<void(ByteSpan)>& sink) {
   // The failover budget bounds retries within one call; a fresh call gets
   // a fresh budget (links heal, nodes restart), like the pre-pipelined
-  // reader whose every attempt re-swept the replica set.
+  // reader whose every attempt re-swept the replica set; an erasure-coded
+  // chunk whose shards failed gets a fresh gather.
   fetch_attempts_.clear();
+  unreadable_.clear();
 
   const auto& chunks = record_.chunk_map.chunks;
   // Chunks are ordered by file_offset; binary-search the starting chunk.
@@ -443,14 +518,27 @@ Status ReadSession::Walk(std::uint64_t offset, std::uint64_t length,
     if (pos >= c.file_offset + c.size) continue;
 
     bool was_cached = cache_index_.contains(i);
-    STDCHK_ASSIGN_OR_RETURN(const BufferSlice* data, ChunkData(i));
+    STDCHK_ASSIGN_OR_RETURN(const Cached* data, ChunkData(i));
     if (was_cached) ++stats_.cache_hits;
 
+    // The chunk's parts concatenate to its bytes: hand `sink` their share
+    // of [pos, min(end, chunk end)).
     std::uint64_t chunk_off = pos - c.file_offset;
     std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(c.size - chunk_off, end - pos));
-    sink(ByteSpan(data->data() + chunk_off, n));
-    pos += n;
+    for (const BufferSlice& part : data->parts()) {
+      if (n == 0) break;
+      if (chunk_off >= part.size()) {
+        chunk_off -= part.size();
+        continue;
+      }
+      const std::size_t take = std::min<std::size_t>(
+          part.size() - static_cast<std::size_t>(chunk_off), n);
+      sink(ByteSpan(part.data() + chunk_off, take));
+      chunk_off = 0;
+      n -= take;
+      pos += take;
+    }
   }
   return OkStatus();
 }

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <set>
 
 #include "common/rng.h"
 #include "core/cluster.h"
+#include "disk_tamper.h"
 
 namespace stdchk {
 namespace {
@@ -449,6 +451,145 @@ TEST_F(ErasureClusterTest, MixedModeMapsDedupAgainstReplicatedChunks) {
   auto read_back = ec_writer->ReadFile(Name(2));
   ASSERT_TRUE(read_back.ok());
   EXPECT_EQ(read_back.value(), both);
+}
+
+// Erasure-coded chunks are read ahead like replicated ones: the data shards
+// of the window's chunks that share a node share one GET, so fewer GETs
+// than shards go out, with several chunks in flight at once.
+TEST_F(ErasureClusterTest, ErasureChunksRideTheReadWindow) {
+  Bytes data = rng_.RandomBytes(8 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+
+  ClientOptions options = cluster_->client().options();
+  options.read_ahead_chunks = 3;
+  auto client = cluster_->MakeClient(options);
+  auto reader = client->OpenFile(Name(1));
+  ASSERT_TRUE(reader.ok());
+  auto read_back = reader.value()->ReadAll();
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(read_back.value(), data);
+
+  ReadStats rs = reader.value()->stats();
+  EXPECT_EQ(rs.shard_fetches, 8u * kK);
+  EXPECT_GE(rs.inflight_peak, 4u);
+  EXPECT_LT(rs.single_gets + rs.batch_gets, 8u * kK);
+  EXPECT_EQ(rs.parity_shard_fetches, 0u);
+  EXPECT_EQ(rs.reconstructions, 0u);
+}
+
+// A healthy erasure-coded chunk is cached as its data shards and copied
+// once, straight from them into the image: no reassembly copy.
+TEST_F(ErasureClusterTest, HealthyErasureReadAllCopiesNoPayload) {
+  Bytes data = rng_.RandomBytes(4 * 4096 + 1234);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  auto reader = cluster_->client().OpenFile(Name(1));
+  ASSERT_TRUE(reader.ok());
+
+  const std::uint64_t copies = copy_stats::Snapshot().payload_copies;
+  auto read_back = reader.value()->ReadAll();
+  EXPECT_EQ(copy_stats::Snapshot().payload_copies - copies, 0u);
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(read_back.value(), data);
+  EXPECT_EQ(reader.value()->stats().reconstructions, 0u);
+}
+
+// A crashed (not yet expired) data-shard holder costs each chunk it holds a
+// shard of exactly one parity shard and one decode; every other shard is a
+// direct data shard.
+TEST_F(ErasureClusterTest, DegradedReadCostsOneParityShardPerAffectedChunk) {
+  constexpr std::size_t kChunks = 8;
+  Bytes data = rng_.RandomBytes(kChunks * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  VersionRecord record = Record(Name(1));
+  ASSERT_EQ(record.chunk_map.chunks.size(), kChunks);
+  const NodeId dead = record.chunk_map.chunks.front().shards[0].node;
+  std::uint64_t affected = 0;
+  for (const ChunkLocation& loc : record.chunk_map.chunks) {
+    for (int s = 0; s < kK; ++s) {
+      if (loc.shards[static_cast<std::size_t>(s)].node == dead) ++affected;
+    }
+  }
+  ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(dead)).ok());
+
+  auto reader = cluster_->client().OpenFile(Name(1));
+  ASSERT_TRUE(reader.ok());
+  auto read_back = reader.value()->ReadAll();
+  ASSERT_TRUE(read_back.ok()) << read_back.status();
+  EXPECT_EQ(read_back.value(), data);
+  ReadStats rs = reader.value()->stats();
+  EXPECT_EQ(rs.shard_fetches, kChunks * kK);
+  EXPECT_GE(affected, 1u);
+  EXPECT_EQ(rs.parity_shard_fetches, affected);
+  EXPECT_EQ(rs.reconstructions, affected);
+  EXPECT_EQ(rs.full_replica_fallbacks, 0u);
+}
+
+// A data shard flipped on a donor's disk fails the transport's content
+// check. Only that shard costs parity: the others sharing its GET are
+// retried alone and arrive intact.
+TEST(ErasureDiskReadTest, FlippedDiskShardCostsOneParityShard) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "stdchk_erasure_flipped";
+  fs::remove_all(dir);
+  ClusterOptions options;
+  options.benefactor_count = 9;
+  options.disk_root = dir.string();
+  options.client.chunk_size = 4096;
+  options.client.erasure = {4, 2};
+  options.client.read_ahead_chunks = 3;
+  {
+    StdchkCluster cluster(options);
+    Bytes data = Rng(7).RandomBytes(8 * 4096);
+    const CheckpointName name{"app", "n1", 1};
+    ASSERT_TRUE(cluster.client().WriteFile(name, data).ok());
+    auto record = cluster.manager().GetVersion(name);
+    ASSERT_TRUE(record.ok());
+    const ChunkLocation& first = record.value().chunk_map.chunks.front();
+    const std::size_t shard = ErasureShardSize(first.size, 4);
+    const Benefactor* holder = cluster.FindBenefactor(first.shards[1].node);
+    ASSERT_NE(holder, nullptr);
+    ASSERT_TRUE(FlipStoredByte(dir / holder->host(),
+                               ByteSpan(data).subspan(shard, shard)));
+
+    auto reader = cluster.client().OpenFile(name);
+    ASSERT_TRUE(reader.ok());
+    auto read_back = reader.value()->ReadAll();
+    ASSERT_TRUE(read_back.ok()) << read_back.status();
+    EXPECT_EQ(read_back.value(), data);
+    ReadStats rs = reader.value()->stats();
+    EXPECT_EQ(rs.reconstructions, 1u);
+    EXPECT_EQ(rs.parity_shard_fetches, 1u);
+    EXPECT_EQ(rs.shard_fetches, 8u * 4u);
+  }
+  fs::remove_all(dir);
+}
+
+// Every gathered chunk passes the whole-chunk check against its id before
+// any of its bytes reach the caller: a record whose chunk id is off by one
+// byte fails the read, though every shard passes its own check.
+TEST_F(ErasureClusterTest, WholeChunkCheckFailsAReadWithIntactShards) {
+  Bytes data = rng_.RandomBytes(3 * 4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  VersionRecord record = Record(Name(1));
+  ASSERT_EQ(record.chunk_map.chunks.size(), 3u);
+  record.chunk_map.chunks[1].id.digest.bytes[7] ^= 0x01;
+
+  ReadSession whole(&cluster_->transport(), record,
+                    cluster_->client().options());
+  auto read_back = whole.ReadAll();
+  ASSERT_FALSE(read_back.ok());
+  EXPECT_EQ(read_back.status().code(), StatusCode::kDataLoss);
+
+  // A read of the altered chunk alone fails too; the one before it reads.
+  ReadSession ranged(&cluster_->transport(), record,
+                     cluster_->client().options());
+  Bytes out(4096);
+  auto first = ranged.ReadAt(0, MutableByteSpan(out));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(out, Bytes(data.begin(), data.begin() + 4096));
+  auto second = ranged.ReadAt(4096, MutableByteSpan(out));
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kDataLoss);
 }
 
 }  // namespace
