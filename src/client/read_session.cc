@@ -435,10 +435,7 @@ void ReadSession::SettleGather(std::size_t index) {
       [shards = entry.shards, id = loc.id,
        check = entry.check.get()](std::size_t) {
         Sha1Hasher hasher;
-        for (const BufferSlice& shard : shards) {
-          // An empty tail shard has no bytes, and no buffer to point at.
-          if (!shard.empty()) hasher.Update(shard.span());
-        }
+        for (const BufferSlice& shard : shards) hasher.Update(shard.span());
         if (ChunkId{hasher.Finish()} != id) {
           check->verdict = DataLossError("chunk " + id.ToHex() +
                                          " failed its whole-chunk check");

@@ -454,6 +454,8 @@ Sha1Hasher::Sha1Hasher()
     : state_{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u} {}
 
 void Sha1Hasher::Update(ByteSpan data) {
+  // An empty span may carry a null data(), which memcpy must never see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();

@@ -80,8 +80,8 @@ std::vector<Status> StdchkCluster::ExecuteRepair(
   if (!read.ok()) return std::vector<Status>(cmds.size(), read.status());
 
   // Each copy goes to its own target in one PUT, all in flight at once (a
-  // chunk's targets are distinct: both schedulers exclude each target they
-  // pick).
+  // chunk's targets are distinct: the scheduler excludes each target it
+  // picks).
   std::vector<Status> results(cmds.size());
   std::vector<std::optional<OpHandle>> puts(cmds.size());
   auto put = [&](std::size_t c, const ChunkId& id, BufferSlice copy) {
@@ -164,35 +164,33 @@ StdchkCluster::TickReport StdchkCluster::Tick(double advance_seconds) {
   report.purged = manager_->TickRetention();
   manager_->TickReservationGc();
 
-  // 4. Background repair, replicas first, so shard targets see the replica
-  //    acks' space. Each scheduler emits a chunk's commands back to back,
-  //    and each run of them is rebuilt from one read of the chunk: any live
-  //    holder of a replica, or any k shards of an erasure-coded group
-  //    (4b), whose holders departed while >= k live shards remain.
-  auto repair = [this](const std::vector<RepairCommand>& cmds) {
-    std::size_t failures = 0;
-    for (std::size_t first = 0; first < cmds.size();) {
-      std::size_t last = first + 1;
-      while (last < cmds.size() &&
-             cmds[last].chunk.id == cmds[first].chunk.id) {
-        ++last;
-      }
-      std::span<const RepairCommand> run(cmds.data() + first, last - first);
-      std::vector<Status> repaired = ExecuteRepair(run);
-      for (std::size_t c = 0; c < run.size(); ++c) {
-        if (!repaired[c].ok()) ++failures;
-        (void)manager_->AckRepair(run[c], repaired[c].ok());
-      }
-      first = last;
+  // 4. Background repair. TickRepair emits a chunk's commands of one kind
+  //    back to back, and each run of them is rebuilt from one read of the
+  //    chunk: any live holder of a replica, or any k shards of an
+  //    erasure-coded group whose holders departed while >= k live shards
+  //    remain. A mixed-mode chunk can need both kinds, as two runs.
+  std::vector<RepairCommand> cmds = manager_->TickRepair();
+  for (std::size_t first = 0; first < cmds.size();) {
+    const bool shard = cmds[first].missing_index >= 0;
+    std::size_t last = first + 1;
+    while (last < cmds.size() &&
+           cmds[last].chunk.id == cmds[first].chunk.id &&
+           (cmds[last].missing_index >= 0) == shard) {
+      ++last;
     }
-    return failures;
-  };
-  std::vector<RepairCommand> replicas = manager_->TickReplication();
-  report.replication_commands = replicas.size();
-  report.replication_failures = repair(replicas);
-  std::vector<RepairCommand> shards = manager_->TickShardRepair();
-  report.shard_repair_commands = shards.size();
-  report.shard_repair_failures = repair(shards);
+    std::span<const RepairCommand> run(cmds.data() + first, last - first);
+    std::size_t& issued =
+        shard ? report.shard_repair_commands : report.replication_commands;
+    std::size_t& failures =
+        shard ? report.shard_repair_failures : report.replication_failures;
+    issued += run.size();
+    std::vector<Status> repaired = ExecuteRepair(run);
+    for (std::size_t c = 0; c < run.size(); ++c) {
+      if (!repaired[c].ok()) ++failures;
+      (void)manager_->AckRepair(run[c], repaired[c].ok());
+    }
+    first = last;
+  }
 
   // 5. GC exchange: each online benefactor reconciles against the live set.
   for (auto& b : benefactors_) {

@@ -91,15 +91,16 @@ class StdchkCluster {
   std::size_t Settle(std::size_t max_ticks = 64);
 
  private:
-  // Executes the repair commands of one chunk (all with the same
-  // chunk.id): reads the chunk once through the read engine (any live
-  // holder, with the engine's failover, or any k reachable shards of a
-  // group, the chunk checked against its address), derives each copy (the
-  // chunk itself for a replica; for a shard, every missing one in one
-  // decode, each verified against its own address) and PUTs each to its
-  // command's target. Returns one status per command: a failed read fails
-  // them all, a failed check or PUT only its own. Link cuts, loss draws and
-  // the traffic counters see a repair like any client op.
+  // Executes the repair commands of one chunk and one kind (all with the
+  // same chunk.id, all replicas or all shards): reads the chunk once
+  // through the read engine (any live holder, with the engine's failover,
+  // or any k reachable shards of a group, the chunk checked against its
+  // address), derives each copy (the chunk itself for a replica; for a
+  // shard, every missing one in one decode, each verified against its own
+  // address) and PUTs each to its command's target. Returns one status per
+  // command: a failed read fails them all, a failed check or PUT only its
+  // own. Link cuts, loss draws and the traffic counters see a repair like
+  // any client op.
   std::vector<Status> ExecuteRepair(std::span<const RepairCommand> cmds);
 
   ClusterOptions options_;

@@ -34,7 +34,8 @@ ClusterStats CollectStats(StdchkCluster& cluster) {
   stats.applications = catalog.ListApps().size();
   stats.logical_bytes = catalog.TotalLogicalBytes();
   stats.unique_bytes = catalog.TotalUniqueBytes();
-  stats.pending_replications = cluster.manager().pending_replications();
+  stats.pending_repairs = cluster.manager().pending_replications() +
+                          cluster.manager().pending_shard_repairs();
   stats.rpcs = cluster.transport().rpc_count();
   stats.network_bytes = cluster.transport().bytes_moved();
 

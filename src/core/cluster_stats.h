@@ -38,8 +38,9 @@ struct ClusterStats {
   std::uint64_t logical_bytes = 0;  // sum of committed file sizes
   std::uint64_t unique_bytes = 0;   // after compare-by-hash dedup
 
-  // Background machinery.
-  std::size_t pending_replications = 0;
+  // Background machinery: repair commands (replica and shard) issued and
+  // not yet acked.
+  std::size_t pending_repairs = 0;
   // Live compaction across the pool (sums of per-node ChunkStoreStats):
   // dead-byte reclamation progress. resident_bytes minus stored_bytes is
   // the gap compaction exists to close.

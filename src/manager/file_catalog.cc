@@ -385,14 +385,6 @@ std::vector<NodeId> FileCatalog::ChunkReplicas(const ChunkId& id) const {
                              it->second.replicas.end());
 }
 
-std::uint32_t FileCatalog::ChunkSize(const ChunkId& id) const {
-  ChunkShard& shard = ChunkShardFor(id);
-  shard.ops.fetch_add(1, std::memory_order_relaxed);
-  ShardMutexLock lock(shard.mu);
-  auto it = shard.chunks.find(id);
-  return it == shard.chunks.end() ? 0 : it->second.size;
-}
-
 std::set<ChunkId> FileCatalog::LiveChunksOn(NodeId node) const {
   std::set<ChunkId> out;
   for (const auto& shard_ptr : chunk_shards_) {
@@ -471,13 +463,15 @@ std::vector<ChunkId> FileCatalog::RemoveNodeReplicas(NodeId node) {
   return lost;
 }
 
-std::vector<FileCatalog::UnderReplicated> FileCatalog::FindUnderReplicated(
+std::vector<FileCatalog::Repairable> FileCatalog::FindRepairable(
     const std::set<NodeId>& online) const {
   // A chunk's target is the max across versions referencing it; since we do
   // not track back-references, recompute per version (catalog sizes in this
-  // system are small relative to data). Folder shards are walked in index
-  // order so shards == 1 reproduces the historical single-map iteration.
+  // system are small relative to data). Erasure-coded groups are collected
+  // once each. Folder shards are walked in index order so shards == 1
+  // reproduces the historical single-map iteration.
   std::unordered_map<ChunkId, int, ChunkIdHash> targets;
+  std::map<ChunkId, ChunkLocation> groups;
   for (const auto& shard_ptr : folder_shards_) {
     FolderShard& shard = *shard_ptr;
     shard.ops.fetch_add(1, std::memory_order_relaxed);
@@ -487,55 +481,35 @@ std::vector<FileCatalog::UnderReplicated> FileCatalog::FindUnderReplicated(
         for (const ChunkLocation& loc : record.chunk_map.chunks) {
           int& t = targets[loc.id];
           t = std::max(t, record.replication_target);
+          if (!loc.erasure_coded() || groups.contains(loc.id)) continue;
+          ChunkLocation group(loc.id, 0, loc.size, {});
+          group.ec_k = loc.ec_k;
+          group.ec_m = loc.ec_m;
+          group.shards = loc.shards;
+          groups.emplace(loc.id, std::move(group));
         }
       }
     }
   }
 
-  std::vector<UnderReplicated> out;
+  // Each candidate is judged against the chunk records' current holders:
+  // commit-time placement is stale the moment a holder departs or a
+  // repair lands a copy elsewhere.
+  std::vector<Repairable> out;
   for (const auto& [id, want] : targets) {
     ChunkShard& shard = ChunkShardFor(id);
     ShardMutexLock lock(shard.mu);
     auto it = shard.chunks.find(id);
     if (it == shard.chunks.end()) continue;
-    int have = 0;
+    ChunkLocation chunk(id, 0, it->second.size, {});
     for (NodeId node : it->second.replicas) {
-      if (online.contains(node)) ++have;
+      if (online.contains(node)) chunk.replicas.push_back(node);
     }
+    int have = static_cast<int>(chunk.replicas.size());
     if (have < want && have > 0) {
-      out.push_back(UnderReplicated{id, have, want});
+      out.push_back(Repairable{std::move(chunk), want});
     }
   }
-  return out;
-}
-
-std::vector<ChunkLocation> FileCatalog::FindDamagedGroups(
-    const std::set<NodeId>& online) const {
-  // Collect every committed erasure-coded group (deduplicated: a group
-  // shared by several versions is repaired once), then judge each against
-  // the chunk records' current holders — commit-time placement is stale
-  // the moment a holder departs or a repair lands a shard elsewhere.
-  std::map<ChunkId, ChunkLocation> groups;
-  for (const auto& shard_ptr : folder_shards_) {
-    FolderShard& shard = *shard_ptr;
-    shard.ops.fetch_add(1, std::memory_order_relaxed);
-    ShardMutexLock lock(shard.mu);
-    for (const auto& [app, folder] : shard.folders) {
-      for (const auto& [key, record] : folder.versions) {
-        for (const ChunkLocation& loc : record.chunk_map.chunks) {
-          if (!loc.erasure_coded() || groups.contains(loc.id)) continue;
-          ChunkLocation& group = groups[loc.id];
-          group.id = loc.id;
-          group.size = loc.size;
-          group.ec_k = loc.ec_k;
-          group.ec_m = loc.ec_m;
-          group.shards = loc.shards;
-        }
-      }
-    }
-  }
-
-  std::vector<ChunkLocation> out;
   for (auto& [id, group] : groups) {
     int live = 0;
     for (ShardLocation& sl : group.shards) {
@@ -555,8 +529,19 @@ std::vector<ChunkLocation> FileCatalog::FindDamagedGroups(
     }
     bool missing = live < static_cast<int>(group.shards.size());
     if (missing && live >= static_cast<int>(group.ec_k)) {
-      out.push_back(std::move(group));
+      out.push_back(Repairable{std::move(group), 1});
     }
+  }
+  return out;
+}
+
+std::vector<FileCatalog::UnderReplicated> FileCatalog::FindUnderReplicated(
+    const std::set<NodeId>& online) const {
+  std::vector<UnderReplicated> out;
+  for (const Repairable& r : FindRepairable(online)) {
+    if (r.chunk.erasure_coded()) continue;
+    out.push_back(UnderReplicated{
+        r.chunk.id, static_cast<int>(r.chunk.replicas.size()), r.want});
   }
   return out;
 }

@@ -7,7 +7,7 @@
 //    version that reuses prior chunks stores no duplicate data;
 //  * lifetime management (§IV.D): per-folder retention policies
 //    (no-intervention / automated-replace / automated-purge);
-//  * replica bookkeeping feeding the replication scheduler and the GC
+//  * replica and shard bookkeeping feeding the repair scheduler and the GC
 //    protocol (§IV.A).
 //
 // Concurrency: the catalog is internally sharded and thread-safe. State is
@@ -148,7 +148,6 @@ class FileCatalog {
   bool IsChunkLive(const ChunkId& id) const;
   // Replica locations of a live chunk (empty if unknown).
   std::vector<NodeId> ChunkReplicas(const ChunkId& id) const;
-  std::uint32_t ChunkSize(const ChunkId& id) const;
 
   // Set of live chunks the manager believes `node` holds (GC exchange).
   std::set<ChunkId> LiveChunksOn(NodeId node) const;
@@ -167,25 +166,34 @@ class FileCatalog {
   // replica-count availability generalized to "any k of k+m").
   std::vector<ChunkId> RemoveNodeReplicas(NodeId node);
 
-  // Chunks of committed versions whose live replica count (counting only
-  // `online` nodes) is below the version's replication target. Each entry
-  // carries the target so the scheduler knows how many copies to add.
+  // A chunk of committed versions that is short of copies but can still be
+  // rebuilt, counting only `online` holders, as a reader can fetch it:
+  //  * whole copies: at least 1 and fewer than `want` online holders,
+  //    where `want` is the highest replication target of the versions
+  //    naming the chunk; `chunk.replicas` lists the online holders in
+  //    ascending id order;
+  //  * an erasure-coded group: a position with no online holder while at
+  //    least k positions still have one; `chunk.shards` name one online
+  //    holder per position (kInvalidNode for the missing ones), and each
+  //    position wants 1 copy. Groups below k survivors are not returned —
+  //    they are unrepairable (surfaced through RemoveNodeReplicas as lost).
+  // A mixed-mode chunk (whole copies and shards) can be short of both.
+  struct Repairable {
+    ChunkLocation chunk;
+    int want = 1;
+  };
+  // One walk that visits each retained version once. Whole chunks come
+  // first, in the walk's hash order; groups follow in id order, each once
+  // however many versions share it.
+  std::vector<Repairable> FindRepairable(const std::set<NodeId>& online) const;
+
+  // FindRepairable's whole-copy entries, with their online holder count.
   struct UnderReplicated {
     ChunkId chunk;
     int have = 0;
     int want = 0;
   };
   std::vector<UnderReplicated> FindUnderReplicated(
-      const std::set<NodeId>& online) const;
-
-  // Erasure-coded groups of committed versions that are repairable but
-  // degraded: at least one shard has no online holder while at least k
-  // shards do. Each group comes back as one erasure-coded chunk whose
-  // `shards` name one online holder per position (kInvalidNode for the
-  // missing ones), so a reader can fetch it as it stands. Groups below k
-  // survivors are not returned — they are unrepairable (surfaced through
-  // RemoveNodeReplicas as lost).
-  std::vector<ChunkLocation> FindDamagedGroups(
       const std::set<NodeId>& online) const;
 
   // Shard records released because their last referencing version was

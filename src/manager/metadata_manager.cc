@@ -67,6 +67,14 @@ Status DropDeparted(const std::vector<NodeId>& departed, ChunkMap* map) {
   return OkStatus();
 }
 
+// The copy a repair of `chunk` restores: the chunk itself for a replica
+// (missing_index -1), else the shard at `missing_index`.
+const ChunkId& CopyId(const ChunkLocation& chunk, int missing_index) {
+  return missing_index < 0
+             ? chunk.id
+             : chunk.shards[static_cast<std::size_t>(missing_index)].id;
+}
+
 // Reserved bytes charged to each member of a `width`-wide stripe for a
 // request of `bytes`: an even share, rounded up.
 std::uint64_t ReservationShare(std::uint64_t bytes, std::size_t width) {
@@ -369,86 +377,54 @@ std::vector<NodeId> MetadataManager::TickExpiry() {
   return expired;
 }
 
-std::vector<RepairCommand> MetadataManager::TickReplication() {
+std::vector<RepairCommand> MetadataManager::TickRepair() {
   MutexLock lock(mu_);
   if (!up_) return {};
   std::set<NodeId> online;
   for (NodeId node : registry_.OnlineNodes()) online.insert(node);
 
+  // Budgets left for replica commands [0] and shard commands [1].
+  int budget[2] = {options_.max_replications_per_tick,
+                   options_.max_replications_per_tick};
   std::vector<RepairCommand> commands;
-  for (const auto& ur : catalog_.FindUnderReplicated(online)) {
-    if (static_cast<int>(commands.size()) >= options_.max_replications_per_tick) {
-      break;
+  for (const FileCatalog::Repairable& r : catalog_.FindRepairable(online)) {
+    const ChunkLocation& chunk = r.chunk;
+    int& left = budget[chunk.erasure_coded() ? 1 : 0];
+    // The chunk's copies: the chunk itself (missing_index -1) or each shard
+    // position, with their live holders.
+    std::vector<std::pair<int, int>> copies;  // (missing_index, live)
+    std::vector<NodeId> exclude = chunk.replicas;
+    if (!chunk.erasure_coded()) {
+      copies.emplace_back(-1, static_cast<int>(chunk.replicas.size()));
     }
-    std::vector<NodeId> holders = catalog_.ChunkReplicas(ur.chunk);
-    // Sources: the online holders, in ascending id order, so the read's
-    // first GET goes to the lowest-id one.
-    ChunkLocation chunk(ur.chunk, 0, catalog_.ChunkSize(ur.chunk), {});
-    for (NodeId node : holders) {
-      if (online.contains(node)) chunk.replicas.push_back(node);
+    for (std::size_t s = 0; s < chunk.shards.size(); ++s) {
+      bool held = chunk.shards[s].node != kInvalidNode;
+      if (held) exclude.push_back(chunk.shards[s].node);
+      copies.emplace_back(static_cast<int>(s), held ? 1 : 0);
     }
-    if (chunk.replicas.empty()) continue;
-
-    int missing = ur.want - ur.have;
-    // Exclude existing holders and targets already in flight for this chunk.
-    std::vector<NodeId> exclude = holders;
-    for (const auto& [id, target] : inflight_) {
-      if (id == ur.chunk) exclude.push_back(target);
+    // In-flight targets count as live, and no target may receive a second
+    // copy of the chunk: for a group, a sibling's target is excluded too.
+    std::vector<int> missing;  // a copy's index once per command it needs
+    for (auto& [index, live] : copies) {
+      const ChunkId& copy = CopyId(chunk, index);
+      for (auto it = inflight_.lower_bound({copy, 0});
+           it != inflight_.end() && it->first.first == copy; ++it) {
+        exclude.push_back(it->first.second);
+        ++live;
+      }
+      missing.insert(missing.end(),
+                     static_cast<std::size_t>(std::max(r.want - live, 0)),
+                     index);
     }
-    int already_inflight = static_cast<int>(
-        std::count_if(inflight_.begin(), inflight_.end(),
-                      [&](const auto& p) { return p.first == ur.chunk; }));
-    missing -= already_inflight;
-
-    for (int i = 0; i < missing; ++i) {
+    for (int index : missing) {
+      if (left == 0) break;
       auto stripe = registry_.SelectStripe(1, exclude);
-      if (!stripe.ok()) break;  // no eligible target left
+      if (!stripe.ok()) break;  // no eligible target left for this chunk
       NodeId target = stripe.value()[0];
       exclude.push_back(target);
-      inflight_.insert({ur.chunk, target});
-      commands.push_back(RepairCommand{chunk, -1, target});
-      if (static_cast<int>(commands.size()) >=
-          options_.max_replications_per_tick) {
-        break;
-      }
-    }
-  }
-  return commands;
-}
-
-std::vector<RepairCommand> MetadataManager::TickShardRepair() {
-  MutexLock lock(mu_);
-  if (!up_) return {};
-  std::set<NodeId> online;
-  for (NodeId node : registry_.OnlineNodes()) online.insert(node);
-
-  std::vector<RepairCommand> commands;
-  for (const ChunkLocation& group : catalog_.FindDamagedGroups(online)) {
-    if (static_cast<int>(commands.size()) >=
-        options_.max_replications_per_tick) {
-      break;
-    }
-    // Current holders are excluded as rebuild targets: the group-distinct
-    // placement invariant (one node death costs at most one shard) must
-    // survive repair.
-    std::vector<NodeId> exclude;
-    for (const ShardLocation& sl : group.shards) {
-      if (sl.node != kInvalidNode) exclude.push_back(sl.node);
-    }
-
-    for (std::size_t s = 0; s < group.shards.size(); ++s) {
-      if (static_cast<int>(commands.size()) >=
-          options_.max_replications_per_tick) {
-        break;
-      }
-      if (group.shards[s].node != kInvalidNode) continue;
-      if (inflight_repairs_.contains(group.shards[s].id)) continue;
-      auto stripe = registry_.SelectStripe(1, exclude);
-      if (!stripe.ok()) break;  // no distinct target left for this group
-      NodeId target = stripe.value()[0];
-      exclude.push_back(target);
-      inflight_repairs_.insert(group.shards[s].id);
-      commands.push_back(RepairCommand{group, static_cast<int>(s), target});
+      inflight_.emplace(std::pair(CopyId(chunk, index), target), index >= 0);
+      commands.push_back(RepairCommand{chunk, index, target});
+      --left;
     }
   }
   return commands;
@@ -457,19 +433,16 @@ std::vector<RepairCommand> MetadataManager::TickShardRepair() {
 Status MetadataManager::AckRepair(const RepairCommand& cmd, bool success) {
   MutexLock lock(mu_);
   const ChunkLocation& chunk = cmd.chunk;
-  ChunkId copy = chunk.id;
-  std::uint64_t bytes = chunk.size;
-  if (cmd.missing_index < 0) {
-    inflight_.erase({copy, cmd.target});
-  } else {
-    copy = chunk.shards[static_cast<std::size_t>(cmd.missing_index)].id;
-    bytes = ErasureShardLength(chunk.size, chunk.ec_k, cmd.missing_index);
-    inflight_repairs_.erase(copy);
-  }
+  const ChunkId& copy = CopyId(chunk, cmd.missing_index);
+  inflight_.erase({copy, cmd.target});
   if (!up_) return UnavailableError("metadata manager is down");
   if (success) {
     catalog_.AddReplica(copy, cmd.target);
-    registry_.AddUsed(cmd.target, bytes);
+    registry_.AddUsed(cmd.target,
+                      cmd.missing_index < 0
+                          ? chunk.size
+                          : ErasureShardLength(chunk.size, chunk.ec_k,
+                                               cmd.missing_index));
   }
   return OkStatus();
 }

@@ -5,15 +5,17 @@
 // never flows through the manager — clients receive a stripe / chunk map
 // and talk to benefactors directly.
 //
-// Background work (heartbeat expiry, replication, retention, reservation
-// GC) advances through explicit Tick*() pumps so tests are deterministic;
+// Background work (heartbeat expiry, repair, retention, reservation GC)
+// advances through explicit Tick*() pumps so tests are deterministic;
 // core/BackgroundDriver wraps them in a thread for the examples.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <set>
 #include <string>
 #include <vector>
@@ -33,10 +35,10 @@ struct ManagerOptions {
   // Eager reservations unused for longer are garbage collected (§IV.A:
   // "if this space is not used, it is asynchronously garbage collected").
   ClockTime reservation_ttl_us = 60'000'000;  // 60 s
-  // Repair commands issued per TickReplication() call, and again per
-  // TickShardRepair() call. Bounding this implements "creation of new files
-  // has priority over replication": the schedulers trickle copies instead
-  // of flooding benefactors.
+  // Repair commands issued per TickRepair() call, for each kind: up to
+  // this many replica commands and as many shard commands. Bounding this
+  // implements "creation of new files has priority over replication": the
+  // scheduler trickles copies instead of flooding benefactors.
   int max_replications_per_tick = 8;
   // Number of independently locked FileCatalog shards. 1 keeps the
   // historical single-map catalog, bit for bit; N spreads folder and chunk
@@ -132,35 +134,33 @@ class MetadataManager {
   // Returns the ids of newly expired nodes.
   std::vector<NodeId> TickExpiry();
 
-  // Background repair. Each scheduler emits RepairCommands for one kind of
-  // lost copy, a chunk's commands back to back, within its own budget of
+  // Background repair: one catalog walk (FindRepairable) per call, and one
+  // rule for every copy. A whole chunk wants its replication target, each
+  // shard position of an erasure-coded group wants 1, and a copy gets
+  // (want - live holders - in-flight targets) RepairCommands. A target is
+  // outside the chunk's or group's holders and every in-flight target of
+  // its copies, so one death keeps costing a group at most one shard.
+  // Replica commands (missing_index -1) come first, then shard commands, a
+  // chunk's commands back to back, each kind within its own budget of
   // max_replications_per_tick (file creation keeps priority over repair).
-  // The caller (StdchkCluster::Tick) reads each chunk once through the read
-  // engine, PUTs every copy to its target, and must call AckRepair with
-  // each command's outcome.
-  //
-  // TickReplication: a replica command (missing_index -1) per missing
-  // replica of an under-replicated chunk, naming its online holders to
-  // read from and a target outside them.
-  std::vector<RepairCommand> TickReplication();
-  // Reads the in-flight set under mu_ — the -Wthread-safety sweep caught
-  // the previous lock-free read racing TickReplication and the acks.
+  // The caller (StdchkCluster::Tick) reads each chunk once per kind through
+  // the read engine, PUTs every copy to its target, and must call AckRepair
+  // with each command's outcome.
+  std::vector<RepairCommand> TickRepair();
+  // Commands of each kind issued and not yet acked. They read the
+  // in-flight set under mu_ — the -Wthread-safety sweep caught a previous
+  // lock-free read racing the scheduler and the acks.
   std::size_t pending_replications() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return inflight_.size();
+    return static_cast<std::size_t>(
+        std::ranges::count(std::views::values(inflight_), false));
   }
-
-  // TickShardRepair: a shard command per lost shard of an erasure-coded
-  // group that is degraded but still holds >= k live shards (repair
-  // restores the m-loss margin instead of a replica count). The target is
-  // outside the group's holders; the executor decodes from whichever k
-  // shards answer.
-  std::vector<RepairCommand> TickShardRepair();
   std::size_t pending_shard_repairs() const EXCLUDES(mu_) {
     MutexLock lock(mu_);
-    return inflight_repairs_.size();
+    return static_cast<std::size_t>(
+        std::ranges::count(std::views::values(inflight_), true));
   }
-  // Retires a command from its in-flight set and, on success, records the
+  // Retires a command from the in-flight set and, on success, records the
   // target as a holder of the copy and charges it the copy's bytes.
   Status AckRepair(const RepairCommand& cmd, bool success);
 
@@ -176,9 +176,9 @@ class MetadataManager {
 
   // ---- Hot-standby snapshots (§IV.A) ---------------------------------------
   // Serializes all durable metadata (catalog + registry). Transient state —
-  // reservations, in-flight replication, recovery offers — is deliberately
-  // excluded: reservations are client-renewable, replication re-derives
-  // from the catalog, and offers are re-pushed by benefactors.
+  // reservations, in-flight repairs, recovery offers — is deliberately
+  // excluded: reservations are client-renewable, repair re-derives from
+  // the catalog, and offers are re-pushed by benefactors.
   Bytes SaveSnapshot() const;
   // Replaces this manager's durable state with the snapshot and clears all
   // transient state, as a promoted standby would. The manager comes back
@@ -230,13 +230,10 @@ class MetadataManager {
   ReservationId next_reservation_ GUARDED_BY(mu_) = 1;
   std::map<ReservationId, Reservation> reservations_ GUARDED_BY(mu_);
 
-  // Replication commands issued but not yet acked, keyed by (chunk, target)
-  // so the scheduler does not double-issue.
-  std::set<std::pair<ChunkId, NodeId>> inflight_ GUARDED_BY(mu_);
-
-  // Shard repairs issued but not yet acked, keyed by the missing shard's
-  // content address (one rebuild per lost shard at a time).
-  std::set<ChunkId> inflight_repairs_ GUARDED_BY(mu_);
+  // Repair commands issued but not yet acked, keyed by (copy, target) so
+  // the scheduler does not double-issue: a copy is the chunk id for a
+  // replica, the shard's id for a shard. The value tells a shard.
+  std::map<std::pair<ChunkId, NodeId>, bool> inflight_ GUARDED_BY(mu_);
 
   // Recovery offers: (version name, chunk-map fingerprint) -> endorsers.
   std::map<std::pair<std::string, std::uint64_t>, std::set<NodeId>> offers_

@@ -86,16 +86,17 @@ struct WriteReservation {
 };
 
 // One background repair command: restore one lost copy of `chunk` on
-// `target`. The manager's schedulers decide only what to rebuild and where;
-// the executor reads the chunk through the read engine like any client and
-// PUTs the copy, then acks the outcome back to the manager.
-// - A replica (missing_index -1): `chunk` lists its online holders in
-//   ascending id order, and the copy is the chunk itself
-//   (MetadataManager::TickReplication restores the replication target).
-// - A shard (missing_index >= 0): `chunk` is the erasure-coded group, one
-//   online holder per shard position and kInvalidNode where none is left,
-//   and the copy is the decoded shard at `missing_index` (data first)
-//   (MetadataManager::TickShardRepair restores the m-loss margin).
+// `target`. The manager's scheduler (MetadataManager::TickRepair) decides
+// only what to rebuild and where; the executor reads the chunk through the
+// read engine like any client and PUTs the copy, then acks the outcome
+// back to the manager.
+// - A replica (missing_index -1) restores the replication target: `chunk`
+//   lists its online holders in ascending id order, and the copy is the
+//   chunk itself.
+// - A shard (missing_index >= 0) restores the m-loss margin: `chunk` is
+//   the erasure-coded group, one online holder per shard position and
+//   kInvalidNode where none is left, and the copy is the decoded shard at
+//   `missing_index` (data first).
 struct RepairCommand {
   ChunkLocation chunk;
   int missing_index = -1;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "core/cluster.h"
 
@@ -72,9 +74,28 @@ TEST(ClusterStatsTest, PendingReplicationsVisibleMidRepair) {
                   .WriteFile(CheckpointName{"a", "n", 1}, rng.RandomBytes(4096))
                   .ok());
   // Issue replication commands without executing them.
-  auto cmds = cluster.manager().TickReplication();
+  auto cmds = cluster.manager().TickRepair();
   ASSERT_FALSE(cmds.empty());
-  EXPECT_EQ(CollectStats(cluster).pending_replications, cmds.size());
+  EXPECT_EQ(CollectStats(cluster).pending_repairs, cmds.size());
+  for (const auto& cmd : cmds) {
+    (void)cluster.manager().AckRepair(cmd, false);
+  }
+
+  // Shard repairs count too: an RS(2,1) file loses a shard holder, and the
+  // next call issues its rebuild beside the replica commands again.
+  ClientOptions coded = options.client;
+  coded.erasure = {2, 1};
+  CheckpointName name{"b", "n", 1};
+  ASSERT_TRUE(
+      cluster.MakeClient(coded)->WriteFile(name, rng.RandomBytes(1024)).ok());
+  auto record = cluster.manager().GetVersion(name);
+  ASSERT_TRUE(record.ok());
+  NodeId holder = record.value().chunk_map.chunks[0].shards[0].node;
+  ASSERT_TRUE(cluster.manager().registry_mutable().SetOffline(holder).ok());
+  cmds = cluster.manager().TickRepair();
+  ASSERT_TRUE(std::ranges::any_of(
+      cmds, [](const RepairCommand& cmd) { return cmd.missing_index >= 0; }));
+  EXPECT_EQ(CollectStats(cluster).pending_repairs, cmds.size());
   for (const auto& cmd : cmds) {
     (void)cluster.manager().AckRepair(cmd, false);
   }

@@ -453,6 +453,62 @@ TEST_F(ErasureClusterTest, MixedModeMapsDedupAgainstReplicatedChunks) {
   EXPECT_EQ(read_back.value(), both);
 }
 
+// A chunk stored both ways (shards for one version, whole copies for a
+// later one without dedup) can lose a whole copy and a shard at once. One
+// tick then issues both kinds for the chunk back to back, and each kind is
+// rebuilt as its own run: the replica from any copy, the shard decoded.
+TEST_F(ErasureClusterTest, MixedModeChunkRepairsBothKindsInOneTick) {
+  Bytes data = rng_.RandomBytes(4096);
+  ASSERT_TRUE(cluster_->client().WriteFile(Name(1), data).ok());
+  ClientOptions plain = cluster_->client().options();
+  plain.erasure = {};
+  plain.semantics = WriteSemantics::kPessimistic;
+  plain.replication_target = 2;
+  ASSERT_TRUE(cluster_->MakeClient(plain)->WriteFile(Name(2), data).ok());
+  const ChunkLocation coded = Record(Name(1)).chunk_map.chunks.at(0);
+  const ChunkLocation whole = Record(Name(2)).chunk_map.chunks.at(0);
+  ASSERT_EQ(coded.id, whole.id);
+  ASSERT_EQ(whole.replicas.size(), 2u);
+
+  // One whole-copy holder and one shard holder (maybe the same) crash.
+  std::set<NodeId> dead = {whole.replicas[0]};
+  for (const ShardLocation& sl : coded.shards) {
+    if (sl.node != whole.replicas[1]) {
+      dead.insert(sl.node);
+      break;
+    }
+  }
+  for (NodeId node : dead) {
+    ASSERT_TRUE(cluster_->CrashBenefactor(IndexOf(node)).ok());
+  }
+  StdchkCluster::TickReport report;
+  for (int i = 0; i < 30 && report.replication_commands == 0; ++i) {
+    report = cluster_->Tick(1.0);
+  }
+  EXPECT_EQ(report.replication_commands, 1u);
+  EXPECT_EQ(report.replication_failures, 0u);
+  EXPECT_GE(report.shard_repair_commands, 1u);
+  EXPECT_EQ(report.shard_repair_failures, 0u);
+
+  // Every listed holder of either kind holds what the catalog says.
+  VersionRecord replicated = Record(Name(2));
+  ASSERT_EQ(replicated.chunk_map.chunks[0].replicas.size(), 2u);
+  for (NodeId node : replicated.chunk_map.chunks[0].replicas) {
+    EXPECT_TRUE(cluster_->FindBenefactor(node)->HasChunk(whole.id));
+  }
+  VersionRecord rebuilt = Record(Name(1));
+  for (const ShardLocation& sl : rebuilt.chunk_map.chunks[0].shards) {
+    ASSERT_NE(sl.node, kInvalidNode);
+    EXPECT_FALSE(dead.contains(sl.node));
+    EXPECT_TRUE(cluster_->FindBenefactor(sl.node)->HasChunk(sl.id));
+  }
+  for (std::uint64_t t : {1, 2}) {
+    auto read_back = cluster_->client().ReadFile(Name(t));
+    ASSERT_TRUE(read_back.ok()) << read_back.status();
+    EXPECT_EQ(read_back.value(), data);
+  }
+}
+
 // Erasure-coded chunks are read ahead like replicated ones: the data shards
 // of the window's chunks that share a node share one GET, so fewer GETs
 // than shards go out, with several chunks in flight at once.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "common/hash.h"
 
 namespace stdchk {
@@ -157,7 +159,7 @@ TEST_F(MetadataManagerTest, CrashMakesRpcsUnavailable) {
   EXPECT_EQ(manager_.Heartbeat(nodes_[0], 1).code(), StatusCode::kUnavailable);
   EXPECT_EQ(manager_.GetVersion(CheckpointName{"a", "n", 1}).status().code(),
             StatusCode::kUnavailable);
-  EXPECT_TRUE(manager_.TickReplication().empty());
+  EXPECT_TRUE(manager_.TickRepair().empty());
   EXPECT_TRUE(manager_.TickRetention().empty());
 }
 
@@ -274,7 +276,7 @@ TEST_F(MetadataManagerTest, RepairCommandsForUnderReplicatedChunks) {
   v.replication_target = 3;
   ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
 
-  std::vector<RepairCommand> cmds = manager_.TickReplication();
+  std::vector<RepairCommand> cmds = manager_.TickRepair();
   ASSERT_EQ(cmds.size(), 2u);
   for (const auto& cmd : cmds) {
     EXPECT_EQ(cmd.missing_index, -1);  // a whole replica
@@ -285,14 +287,14 @@ TEST_F(MetadataManagerTest, RepairCommandsForUnderReplicatedChunks) {
   EXPECT_EQ(manager_.pending_replications(), 2u);
 
   // No duplicate issuance while in flight.
-  EXPECT_TRUE(manager_.TickReplication().empty());
+  EXPECT_TRUE(manager_.TickRepair().empty());
 
   // Ack both; replica lists update; no further commands.
   for (const auto& cmd : cmds) {
     ASSERT_TRUE(manager_.AckRepair(cmd, true).ok());
   }
   EXPECT_EQ(manager_.pending_replications(), 0u);
-  EXPECT_TRUE(manager_.TickReplication().empty());
+  EXPECT_TRUE(manager_.TickRepair().empty());
   EXPECT_EQ(manager_.LocateChunks({v.chunk_map.chunks[0].id}).value()[0].size(),
             3u);
 }
@@ -302,11 +304,11 @@ TEST_F(MetadataManagerTest, FailedReplicationIsRetried) {
   v.replication_target = 2;
   ASSERT_TRUE(manager_.CommitVersion(0, v).ok());
 
-  auto cmds = manager_.TickReplication();
+  auto cmds = manager_.TickRepair();
   ASSERT_EQ(cmds.size(), 1u);
   ASSERT_TRUE(manager_.AckRepair(cmds[0], false).ok());
 
-  auto retry = manager_.TickReplication();
+  auto retry = manager_.TickRepair();
   ASSERT_EQ(retry.size(), 1u);  // re-issued
 }
 
@@ -336,7 +338,110 @@ TEST_F(MetadataManagerTest, ReplicationRespectsPerTickBudget) {
   record.replication_target = 2;
   ASSERT_TRUE(manager.CommitVersion(0, record).ok());
 
-  EXPECT_EQ(manager.TickReplication().size(), 2u);
+  EXPECT_EQ(manager.TickRepair().size(), 2u);
+}
+
+TEST_F(MetadataManagerTest, OneRepairTickIssuesBothKindsEachWithinItsBudget) {
+  ManagerOptions options;
+  options.max_replications_per_tick = 2;
+  MetadataManager manager(&clock_, options);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 6; ++i) {
+    BenefactorInfo info;
+    info.host = "x" + std::to_string(i);
+    info.free_bytes = 1_GiB;
+    nodes.push_back(manager.RegisterBenefactor(info).value());
+  }
+  // Three chunks each needing one extra replica, and three RS(2,1) groups
+  // that each lose their parity shard when nodes[3] departs.
+  VersionRecord replicated;
+  replicated.name = CheckpointName{"app", "n", 1};
+  for (int c = 0; c < 3; ++c) {
+    replicated.chunk_map.chunks.emplace_back(
+        MakeChunkId(8000 + c), static_cast<std::uint64_t>(c) * 100, 100,
+        std::vector<NodeId>{nodes[0]});
+  }
+  replicated.size = 300;
+  replicated.replication_target = 2;
+  VersionRecord coded;
+  coded.name = CheckpointName{"app", "n", 2};
+  for (int g = 0; g < 3; ++g) {
+    ChunkLocation loc(MakeChunkId(8100 + 10 * g),
+                      static_cast<std::uint64_t>(g) * 1024, 1024, {});
+    loc.ec_k = 2;
+    loc.ec_m = 1;
+    for (std::size_t s = 0; s < 3; ++s) {
+      loc.shards.push_back(ShardLocation{
+          MakeChunkId(8101 + 10 * g + static_cast<int>(s)), nodes[1 + s]});
+    }
+    coded.chunk_map.chunks.push_back(loc);
+  }
+  coded.size = 3 * 1024;
+  ASSERT_TRUE(manager.CommitVersion(0, replicated).ok());
+  ASSERT_TRUE(manager.CommitVersion(0, coded).ok());
+  ASSERT_TRUE(manager.registry_mutable().SetOffline(nodes[3]).ok());
+
+  // One call issues both kinds, replica commands first, each kind capped
+  // by its own budget; what is in flight is never issued again.
+  std::set<ChunkId> replicas, groups;
+  for (std::size_t issued : {2u, 1u}) {
+    std::vector<RepairCommand> cmds = manager.TickRepair();
+    ASSERT_EQ(cmds.size(), 2 * issued);
+    for (std::size_t c = 0; c < cmds.size(); ++c) {
+      EXPECT_EQ(cmds[c].missing_index, c < issued ? -1 : 2);
+      (c < issued ? replicas : groups).insert(cmds[c].chunk.id);
+    }
+  }
+  EXPECT_TRUE(manager.TickRepair().empty());
+  EXPECT_EQ(replicas.size(), 3u);
+  EXPECT_EQ(groups.size(), 3u);
+  EXPECT_EQ(manager.pending_replications(), 3u);
+  EXPECT_EQ(manager.pending_shard_repairs(), 3u);
+}
+
+// A retried shard must not land on the donor still receiving a sibling
+// shard of its group: two shards on one donor would let one death cost the
+// group two. The cluster's tick acks every repair within the tick, so only
+// a caller that acks later reaches this; a concurrent repair engine that
+// collects its rebuilds across ticks would be such a caller.
+TEST_F(MetadataManagerTest, ShardRebuildNeverTargetsASiblingsInFlightTarget) {
+  MetadataManager manager(&clock_);
+  std::vector<NodeId> nodes;
+  for (int i = 0; i < 6; ++i) {
+    BenefactorInfo info;
+    info.host = "x" + std::to_string(i);
+    // The spare donors have the most free space, the last one most of all.
+    info.free_bytes = i == 5 ? 3_GiB : i == 4 ? 2_GiB : 1_GiB;
+    nodes.push_back(manager.RegisterBenefactor(info).value());
+  }
+  VersionRecord record;
+  record.name = CheckpointName{"app", "n", 1};
+  ChunkLocation loc(MakeChunkId(7000), 0, 1024, {});
+  loc.ec_k = 2;
+  loc.ec_m = 2;
+  for (int s = 0; s < 4; ++s) {
+    loc.shards.push_back(ShardLocation{MakeChunkId(7001 + s),
+                                       nodes[static_cast<std::size_t>(s)]});
+  }
+  record.chunk_map.chunks.push_back(loc);
+  record.size = 1024;
+  ASSERT_TRUE(manager.CommitVersion(0, record).ok());
+  ASSERT_TRUE(manager.registry_mutable().SetOffline(nodes[0]).ok());
+  ASSERT_TRUE(manager.registry_mutable().SetOffline(nodes[1]).ok());
+
+  std::vector<RepairCommand> cmds = manager.TickRepair();
+  ASSERT_EQ(cmds.size(), 2u);
+  EXPECT_EQ(cmds[0].missing_index, 0);
+  EXPECT_EQ(cmds[0].target, nodes[5]);
+  EXPECT_EQ(cmds[1].missing_index, 1);
+  EXPECT_EQ(cmds[1].target, nodes[4]);
+
+  // Shard 1's rebuild fails while shard 0's is still in flight.
+  ASSERT_TRUE(manager.AckRepair(cmds[1], false).ok());
+  std::vector<RepairCommand> retry = manager.TickRepair();
+  ASSERT_EQ(retry.size(), 1u);
+  EXPECT_EQ(retry[0].missing_index, 1);
+  EXPECT_EQ(retry[0].target, nodes[4]);
 }
 
 TEST_F(MetadataManagerTest, CountersTrackManagerPlacements) {

@@ -116,6 +116,25 @@ TEST_F(SnapshotTest, SnapshotClearsTransientState) {
   // Reservations are transient: gone after failover.
   EXPECT_EQ(cluster_->manager().ExtendReservation(res.value().id, 1).code(),
             StatusCode::kNotFound);
+
+  // So are in-flight repairs. An RS(2,1) group loses a shard holder, and
+  // its rebuild is issued but never acked: the promoted standby must
+  // forget it and issue it again, or the shard is never rebuilt.
+  MetadataManager& manager = cluster_->manager();
+  ClientOptions coded = cluster_->client().options();
+  coded.erasure = {2, 1};
+  ASSERT_TRUE(
+      cluster_->MakeClient(coded)->WriteFile(Name(1), rng_.RandomBytes(1024))
+          .ok());
+  auto record = manager.GetVersion(Name(1));
+  ASSERT_TRUE(record.ok());
+  NodeId holder = record.value().chunk_map.chunks[0].shards[0].node;
+  ASSERT_TRUE(manager.registry_mutable().SetOffline(holder).ok());
+  ASSERT_EQ(manager.TickRepair().size(), 1u);
+  snapshot = manager.SaveSnapshot();
+  ASSERT_TRUE(manager.LoadSnapshot(snapshot).ok());
+  EXPECT_EQ(manager.pending_shard_repairs(), 0u);
+  EXPECT_EQ(manager.TickRepair().size(), 1u);
 }
 
 TEST_F(SnapshotTest, RejectsGarbageAndTruncation) {
